@@ -14,7 +14,6 @@ never "proven".
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Optional
@@ -177,7 +176,6 @@ class ClassifyConfig:
     weber_max_enumerated: int = 300_000
     family_spot_max_d: int = 200
     family_spot_terms: int = 4096
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -239,15 +237,8 @@ def run_classification(n_terms: int = 10 ** 6,
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    candidates = enumerate_candidates()
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            certs = list(pool.map(
-                lambda t: _decide_candidate(t, n_terms, config), candidates))
-    else:
-        certs = [_decide_candidate(t, n_terms, config) for t in candidates]
-    certs.sort(key=lambda c: c.triple)
+    certs = [_decide_candidate(t, n_terms, config)
+             for t in enumerate_candidates()]
 
     mismatches = []
     verified = {c.triple for c in certs if c.status == VERIFIED}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -20,30 +19,15 @@ _EXIT_OK = 0
 _EXIT_CLAIM_FAILED = 1
 
 
-def _thread_default() -> int:
-    env = os.environ.get("THETA_PARITY_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def _common_flags(parser: argparse.ArgumentParser):
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="as_json", action="store_true", default=True,
-                     help="JSON lines output (default)")
-    fmt.add_argument("--plain", dest="as_json", action="store_false",
-                     help="plain key=value output")
+    parser.add_argument("--plain", action="store_true",
+                        help="plain key=value output instead of JSON lines")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the output stream to FILE instead of stdout")
-    parser.add_argument("--threads", type=int, default=_thread_default(),
-                        help="parallelism cap (default: THETA_PARITY_THREADS or 1)")
 
 
 def _emit(records: list[dict], args) -> None:
-    if args.as_json:
-        lines = [json.dumps(rec, separators=(",", ":")) for rec in records]
-    else:
+    if args.plain:
         lines = []
         for rec in records:
             parts = []
@@ -52,6 +36,8 @@ def _emit(records: list[dict], args) -> None:
                     val = json.dumps(val, separators=(",", ":"))
                 parts.append(f"{key}={val}")
             lines.append("  ".join(parts))
+    else:
+        lines = [json.dumps(rec, separators=(",", ":")) for rec in records]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -85,8 +71,8 @@ def _certificate_dict(cert: classify.Certificate) -> dict:
 
 
 def _cmd_series(args):
-    sup = theta.theta_support(args.m, args.terms)
-    return [_record(args, status="ok", support=list(sup.indices))], _EXIT_OK
+    support = theta.theta_support(args.m, args.terms)
+    return [_record(args, status="ok", support=list(support))], _EXIT_OK
 
 
 def _cmd_eta(args):
@@ -109,8 +95,10 @@ def _cmd_euler_jacobi(args):
 
 
 def _cmd_partition(args):
-    table = partition.partition_parity(args.terms)
-    return [_record(args, status="ok", parity=table.bit_list())], _EXIT_OK
+    parity = [0] * args.terms
+    for n in partition.partition_parity(args.terms).support:
+        parity[n] = 1
+    return [_record(args, status="ok", parity=parity)], _EXIT_OK
 
 
 def _cmd_bm(args):
@@ -188,7 +176,6 @@ def _cmd_classify(args):
         weber_bound=args.weber_bound,
         family_spot_max_d=args.family_d,
         family_spot_terms=args.family_terms,
-        threads=args.threads,
     )
     t0 = time.perf_counter()
     report = classify.run_classification(args.terms, config)
@@ -310,7 +297,7 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.echo = {k: v for k, v in sorted(vars(args).items())
-                 if k not in ("fn", "command", "as_json", "out", "echo", "threads")
+                 if k not in ("fn", "command", "plain", "out", "echo")
                  and v is not None}
     records, code = args.fn(args)
     _emit(records, args)

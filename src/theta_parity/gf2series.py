@@ -20,7 +20,7 @@ reported, and all identity claims are "below N" claims.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -99,15 +99,14 @@ class Gf2Series:
         self._check_same_length(other)
         return Gf2Series(self.n_terms, self._bits ^ other._bits)
 
-    def mul(self, other: "Gf2Series",
-            threshold_factor: int = SPARSE_THRESHOLD_FACTOR) -> "Gf2Series":
+    def mul(self, other: "Gf2Series") -> "Gf2Series":
         """Truncated product: coefficient k is the pair-sum parity below N."""
         self._check_same_length(other)
         n = self.n_terms
         sa, sb = self.support, other.support
         if not sa or not sb:
             return Gf2Series.zero(n)
-        if len(sa) * len(sb) <= threshold_factor * n:
+        if len(sa) * len(sb) <= SPARSE_THRESHOLD_FACTOR * n:
             return self._mul_sparse(sa, sb, n)
         return self._mul_comb(other)
 
@@ -159,11 +158,3 @@ class Gf2Series:
         sup = self.support
         shown = list(sup[:12]) + (["..."] if len(sup) > 12 else [])
         return f"Gf2Series(n_terms={self.n_terms}, support={shown})"
-
-
-def convolve_parity(support_a: Iterable[int], support_b: Iterable[int],
-                    n_terms: int) -> Gf2Series:
-    """Product of two support-defined series (convenience wrapper)."""
-    fa = Gf2Series.from_support(list(support_a), n_terms)
-    fb = Gf2Series.from_support(list(support_b), n_terms)
-    return fa.mul(fb)

@@ -81,13 +81,19 @@ def jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-# Deterministic Miller-Rabin witness set, exact for all n below
-# 3.3 * 10^24 (in particular the full 2^63 contract range).
+# Miller-Rabin with the first twelve prime bases is exact below psi_12,
+# the smallest strong pseudoprime to all of them; psi_12 itself needs
+# base 41.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461  # psi_12 = 399165290221 * 798330580441
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n < 2^63 (0 and 1 are not prime)."""
+    """Deterministic primality for n < psi_12 ~ 3.19 * 10^23 (0 and 1 are
+    not prime).  Raises ValueError at and above psi_12, where these
+    bases stop being a proof."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is deterministic only below {_MR_BOUND}")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -17,30 +17,6 @@ from .gf2series import Gf2Series
 from .theta import eta_support, theta_series
 
 
-class ParityTable:
-    """Bit n = p(n) mod 2 for n = 0..n_terms-1, packed like Gf2Series."""
-
-    __slots__ = ("n_terms", "_bits")
-
-    def __init__(self, n_terms: int, bits: int):
-        self.n_terms = n_terms
-        self._bits = bits
-
-    def __getitem__(self, n: int) -> int:
-        if not 0 <= n < self.n_terms:
-            raise IndexError(f"n={n} outside [0, {self.n_terms})")
-        return (self._bits >> n) & 1
-
-    def __len__(self):
-        return self.n_terms
-
-    def to_series(self) -> Gf2Series:
-        return Gf2Series(self.n_terms, self._bits)
-
-    def bit_list(self) -> list[int]:
-        return [(self._bits >> n) & 1 for n in range(self.n_terms)]
-
-
 @lru_cache(maxsize=8)
 def _parity_bits(n_terms: int) -> int:
     pents = np.array([g for g in eta_support(n_terms) if g > 0], dtype=np.int64)
@@ -56,11 +32,16 @@ def _parity_bits(n_terms: int) -> int:
                           "little")
 
 
-def partition_parity(n_terms: int) -> ParityTable:
-    """Parity table of p(n) for n < n_terms (cached per truncation)."""
+def partition_parity(n_terms: int) -> Gf2Series:
+    """Series whose coefficient n is p(n) mod 2, for n < n_terms.
+
+    The packed bits are cached per truncation; each call wraps them in a
+    fresh series, so its lazily built support is freed with the caller's
+    result rather than held by the cache.
+    """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    return ParityTable(n_terms, _parity_bits(n_terms))
+    return Gf2Series(n_terms, _parity_bits(n_terms))
 
 
 def bm_first_failure(a: int, b: int, n_max: int) -> Optional[int]:
@@ -69,13 +50,13 @@ def bm_first_failure(a: int, b: int, n_max: int) -> Optional[int]:
 
     The property: sum of p(n-k) over k <= n with a*k+1 square is odd
     exactly when b*n+1 is a square.  The left side for all n at once is
-    the product of the parity table with f_a, so the witness is the first
+    the product of the parity series with f_a, so the witness is the first
     difference between that product and f_b.
     """
     if a < 1 or b < 1 or n_max < 1:
         raise ValueError("a, b, n_max must be positive")
     n_terms = n_max + 1
-    lhs = partition_parity(n_terms).to_series().mul(theta_series(a, n_terms))
+    lhs = partition_parity(n_terms).mul(theta_series(a, n_terms))
     rhs = theta_series(b, n_terms)
     return lhs.first_difference(rhs)
 

@@ -8,7 +8,6 @@ N = 10^6 sweeps cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
@@ -19,20 +18,8 @@ from .gf2series import Gf2Series
 EULER_JACOBI_EXPONENTS = (1, 2, 3, 4, 6)
 
 
-@dataclass(frozen=True)
-class ThetaSupport:
-    """Support of f_m below n_terms, tagged with its parameters."""
-
-    m: int
-    n_terms: int
-    indices: tuple
-
-    def to_series(self) -> Gf2Series:
-        return Gf2Series.from_support(self.indices, self.n_terms)
-
-
-def theta_support(m: int, n_terms: int) -> ThetaSupport:
-    """All k < n_terms with m*k + 1 a perfect square.
+def theta_support(m: int, n_terms: int) -> tuple:
+    """All k < n_terms with m*k + 1 a perfect square, ascending.
 
     Iterates y = 1, 2, ... keeping y with m | y^2 - 1; each qualifying y
     yields k = (y^2 - 1)/m, strictly increasing in y, so the result is
@@ -46,11 +33,11 @@ def theta_support(m: int, n_terms: int) -> ThetaSupport:
         r = y * y - 1
         if r % m == 0:
             out.append(r // m)
-    return ThetaSupport(m, n_terms, tuple(out))
+    return tuple(out)
 
 
 def theta_series(m: int, n_terms: int) -> Gf2Series:
-    return theta_support(m, n_terms).to_series()
+    return Gf2Series.from_support(theta_support(m, n_terms), n_terms)
 
 
 def eta_support(n_terms: int) -> list[int]:

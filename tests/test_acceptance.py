@@ -234,7 +234,7 @@ def test_criterion_10_frobenius_and_normalization_invariants():
         if f.square() != f.mul(f):
             frobenius_bad += 1
     n = 10 ** 4
-    delta = partition_parity(n).to_series().mul(theta_series(24, n))
+    delta = partition_parity(n).mul(theta_series(24, n))
     normalization_ok = delta == Gf2Series.one(n)
     ok = frobenius_bad == 0 and normalization_ok
     _report(10, ok, f"square == mul(f,f) on 100 random series (N <= 512); "

@@ -86,19 +86,6 @@ def test_run_classification_small_scale():
     assert all(vp(t.d, 2) == 4 for t in report.weak_bound_admits)
 
 
-def test_classification_with_threads_matches_serial():
-    config = ClassifyConfig(weber_bound=2, weber_max_enumerated=20_000,
-                            family_spot_max_d=20)
-    serial = run_classification(4096, config)
-    threaded = run_classification(
-        4096, ClassifyConfig(weber_bound=2, weber_max_enumerated=20_000,
-                             family_spot_max_d=20, threads=4))
-    assert [c.triple for c in serial.certificates] == \
-           [c.triple for c in threaded.certificates]
-    assert [c.status for c in serial.certificates] == \
-           [c.status for c in threaded.certificates]
-
-
 def test_theorem_prediction_small():
     assert [t.as_tuple() for t in theorem_prediction(12)] == \
         [(2, 4, 4), (4, 6, 12), (4, 8, 8), (6, 12, 12)]

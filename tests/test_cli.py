@@ -50,6 +50,24 @@ def test_partition_table(capsys):
     assert records[0]["parity"] == [1, 1, 0, 1, 1, 1, 1, 1, 0, 0]
 
 
+def test_partition_output_bytes(capsys):
+    # p(n) mod 2 by adding one part size at a time, independent of the
+    # pentagonal recurrence behind the command
+    n_terms = 1000
+    parity = [1] + [0] * (n_terms - 1)
+    for part in range(1, n_terms):
+        for n in range(part, n_terms):
+            parity[n] ^= parity[n - part]
+    bits = ",".join(map(str, parity))
+    assert dispatch(["partition", "--terms", "1000"]) == 0
+    assert capsys.readouterr().out == (
+        '{"command":"partition","inputs":{"terms":1000},"status":"ok",'
+        f'"parity":[{bits}]}}\n')
+    assert dispatch(["partition", "--terms", "1000", "--plain"]) == 0
+    assert capsys.readouterr().out == (
+        f'command=partition  inputs={{"terms":1000}}  status=ok  parity=[{bits}]\n')
+
+
 def test_bm_subcommand(capsys):
     code, records = run_cli(capsys, "bm", "--a", "6", "--b", "8", "--max", "500")
     assert code == 0 and records[0]["witness"] is None
@@ -151,10 +169,3 @@ def test_console_entry_point():
     assert result.returncode == 0
     rec = json.loads(result.stdout)
     assert rec["support"] == [0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40]
-
-
-def test_threads_flag_accepted(capsys):
-    code, records = run_cli(capsys, "classify", "--terms", "4096",
-                            "--weber-bound", "1", "--family-d", "16",
-                            "--threads", "4")
-    assert code == 0

@@ -26,6 +26,19 @@ def supports(max_n=512):
         ))
 
 
+@st.composite
+def dense_supports(draw, max_n=256):
+    """(n, support_a, support_b), each index kept at a drawn density in
+    [0, 1], so operands range from empty to every index below n."""
+    n = draw(st.integers(1, max_n))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def support():
+        density = draw(st.floats(0, 1))
+        return [k for k in range(n) if rng.random() < density]
+    return n, support(), support()
+
+
 def test_from_support_examples():
     f = Gf2Series.from_support([0, 2, 6], 8)
     assert [f.coeff(k) for k in range(8)] == [1, 0, 1, 0, 0, 0, 1, 0]
@@ -96,14 +109,20 @@ def test_mul_matches_naive_convolution(data):
     assert list(f.mul(g).support) == naive_mul(sa, sb, n)
 
 
-@settings(max_examples=150, deadline=None)
-@given(supports())
-def test_sparse_and_comb_paths_agree(data):
+@settings(max_examples=60, deadline=None)
+@given(dense_supports())
+def test_kernels_match_naive_convolution_at_dense_inputs(data):
     n, sa, sb = data
     f = Gf2Series.from_support(sa, n)
     g = Gf2Series.from_support(sb, n)
-    # threshold 0 forces the shift-xor comb; the default here is sparse
-    assert f.mul(g) == f.mul(g, threshold_factor=0)
+    want = Gf2Series.from_support(naive_mul(sa, sb, n), n)
+    want_square = Gf2Series.from_support(naive_mul(sa, sa, n), n)
+    # both kernels directly, whichever one mul() would pick
+    for got, expected in ((Gf2Series._mul_sparse(sa, sb, n), want),
+                          (f._mul_comb(g), want), (f.mul(g), want),
+                          (f.square(), want_square)):
+        assert got == expected
+        assert got.support == expected.support
 
 
 @settings(max_examples=150, deadline=None)

@@ -115,6 +115,17 @@ def test_is_prime_large_known_values():
     assert not is_prime(3825123056546413051)  # strong pseudoprime to bases 2..23
 
 
+def test_is_prime_rejects_values_beyond_deterministic_bound():
+    # psi_12: composite, yet a strong pseudoprime to every base 2..37
+    psi12 = 318665857834031151167461
+    assert 399165290221 * 798330580441 == psi12
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(psi12 - 2)
+    for n in (psi12, psi12 + 2, 10 ** 30):
+        with pytest.raises(ValueError):
+            is_prime(n)
+
+
 def test_crt_examples():
     assert crt([(2, 3), (3, 5)]) == ResidueClass(8, 15)
     assert crt([(1, 4), (3, 6)]) == ResidueClass(9, 12)

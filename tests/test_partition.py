@@ -18,27 +18,30 @@ def exact_partition_counts(n_max):
 
 
 def test_parity_examples():
-    table = partition_parity(10)
-    assert table.bit_list() == [1, 1, 0, 1, 1, 1, 1, 1, 0, 0]
-    assert table[0] == 1
-    assert partition_parity(11)[10] == 0  # p(10) = 42
+    parity = partition_parity(10)
+    assert [parity.coeff(n) for n in range(10)] == [1, 1, 0, 1, 1, 1, 1, 1, 0, 0]
+    assert parity.support == (0, 1, 3, 4, 5, 6, 7)
+    assert partition_parity(11).coeff(10) == 0  # p(10) = 42
 
 
 def test_parity_matches_exact_enumeration_to_60():
     counts = exact_partition_counts(60)
-    table = partition_parity(61)
+    parity = partition_parity(61)
     assert counts[:10] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
     for n in range(61):
-        assert table[n] == counts[n] % 2
+        assert parity.coeff(n) == counts[n] % 2
 
 
 def test_parity_table_interface():
-    table = partition_parity(32)
-    assert len(table) == 32
+    parity = partition_parity(32)
+    assert parity.n_terms == 32
     with pytest.raises(IndexError):
-        table[32]
-    assert table.to_series() == Gf2Series(32, sum(b << n for n, b in
-                                                  enumerate(table.bit_list())))
+        parity.coeff(32)
+    coeffs = [parity.coeff(n) for n in range(32)]
+    assert parity == Gf2Series(32, sum(b << n for n, b in enumerate(coeffs)))
+    assert parity.support == tuple(n for n, b in enumerate(coeffs) if b)
+    # the bits are cached, the series (and its support) is not
+    assert partition_parity(32) is not parity
     with pytest.raises(ValueError):
         partition_parity(0)
 
@@ -46,7 +49,7 @@ def test_parity_table_interface():
 def test_normalization_against_euler_product():
     # P(q) * (q;q)_inf = 1, and (q;q)_inf = f_24 mod 2
     n = 2000
-    product = partition_parity(n).to_series().mul(theta_series(24, n))
+    product = partition_parity(n).mul(theta_series(24, n))
     assert product == Gf2Series.one(n)
 
 
@@ -59,9 +62,9 @@ def test_bm_examples():
 def test_bm_witness_one_from_direct_arithmetic():
     # At n = 1 the sum is p(1) + [a+1 square] p(0); the failing pairs all
     # have a+1 non-square and b+1 non-square, so LHS is odd and RHS even.
-    table = partition_parity(2)
+    parity = partition_parity(2)
     for a, b in BM_REFUTED_PAIRS:
-        lhs = table[1]  # k = 0 term; k = 1 contributes only if a+1 is square
+        lhs = parity.coeff(1)  # k = 0 term; k = 1 contributes only if a+1 is square
         r = round((a + 1) ** 0.5)
         assert r * r != a + 1
         rb = round((b + 1) ** 0.5)

@@ -19,29 +19,29 @@ def scan_support(m, n_terms):
 
 
 def test_theta_support_examples():
-    assert theta_support(4, 13).indices == (0, 2, 6, 12)
-    assert theta_support(1, 10).indices == (0, 3, 8)
-    assert theta_support(24, 41).indices == (0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40)
+    assert theta_support(4, 13) == (0, 2, 6, 12)
+    assert theta_support(1, 10) == (0, 3, 8)
+    assert theta_support(24, 41) == (0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40)
 
 
 def test_theta_support_matches_scan_oracle():
     for m in range(1, 51):
-        assert list(theta_support(m, 2000).indices) == scan_support(m, 2000)
+        assert list(theta_support(m, 2000)) == scan_support(m, 2000)
     for m in (1, 7, 24, 37, 50):
-        assert list(theta_support(m, 10 ** 4).indices) == scan_support(m, 10 ** 4)
+        assert list(theta_support(m, 10 ** 4)) == scan_support(m, 10 ** 4)
 
 
 def test_theta_support_roots_are_units():
     for m in (3, 8, 24, 45):
         sup = theta_support(m, 3000)
         roots = set()
-        for k in sup.indices:
+        for k in sup:
             r = isqrt(m * k + 1)
             assert r * r == m * k + 1
             assert (r * r) % m == 1 % m
             roots.add(r)
         # distinct roots give distinct indices
-        assert len(roots) == len(sup.indices)
+        assert len(roots) == len(sup)
 
 
 def test_theta_support_validation():
@@ -59,7 +59,7 @@ def test_eta_support_examples():
 
 def test_eta_support_equals_f24():
     for n in (1, 2, 17, 100, 4096):
-        assert tuple(eta_support(n)) == theta_support(24, n).indices
+        assert tuple(eta_support(n)) == theta_support(24, n)
 
 
 def test_eta_power_series_examples():
@@ -96,4 +96,4 @@ def test_euler_jacobi_check_small():
 
 def test_theta_series_round_trip():
     s = theta_series(6, 300)
-    assert s.support == theta_support(6, 300).indices
+    assert s.support == theta_support(6, 300)

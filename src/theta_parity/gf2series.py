@@ -27,6 +27,11 @@ import numpy as np
 # mul() uses the sparse path while |support(f)| * |support(g)| <= factor * N.
 SPARSE_THRESHOLD_FACTOR = 64
 
+# _SPREAD[b] is byte b with a zero bit after each of its bits: bit i moves
+# to bit 2i, so spreading a series' bytes through it is the Frobenius map.
+_BYTES = np.arange(256, dtype=np.uint16)
+_SPREAD = sum(((_BYTES >> i) & 1) << (2 * i) for i in range(8)).astype("<u2")
+
 
 class Gf2Series:
     """Immutable GF(2) power series truncated to n_terms coefficients."""
@@ -53,10 +58,11 @@ class Gf2Series:
             prev = k
         if indices and (indices[0] < 0 or indices[-1] >= n_terms):
             raise ValueError("support index out of range")
-        bits = 0
+        # set bits in a byte buffer and convert once: linear in N
+        buf = bytearray((n_terms + 7) // 8)
         for k in indices:
-            bits |= 1 << k
-        return cls(n_terms, bits, tuple(indices))
+            buf[k >> 3] |= 1 << (k & 7)
+        return cls(n_terms, int.from_bytes(buf, "little"), tuple(indices))
 
     @classmethod
     def zero(cls, n_terms: int) -> "Gf2Series":
@@ -78,7 +84,7 @@ class Gf2Series:
             raw = self._bits.to_bytes((n + 7) // 8, "little")
             arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                                 count=n, bitorder="little")
-            self._support = tuple(int(k) for k in np.flatnonzero(arr))
+            self._support = tuple(np.flatnonzero(arr).tolist())
         return self._support
 
     def coeff(self, k: int) -> int:
@@ -103,11 +109,12 @@ class Gf2Series:
         """Truncated product: coefficient k is the pair-sum parity below N."""
         self._check_same_length(other)
         n = self.n_terms
-        sa, sb = self.support, other.support
-        if not sa or not sb:
+        # dispatch on bit counts, so a dense operand's support is never built
+        wa, wb = self._bits.bit_count(), other._bits.bit_count()
+        if not wa or not wb:
             return Gf2Series.zero(n)
-        if len(sa) * len(sb) <= SPARSE_THRESHOLD_FACTOR * n:
-            return self._mul_sparse(sa, sb, n)
+        if wa * wb <= SPARSE_THRESHOLD_FACTOR * n:
+            return self._mul_sparse(self.support, other.support, n)
         return self._mul_comb(other)
 
     @staticmethod
@@ -119,12 +126,13 @@ class Gf2Series:
         arr = (counts & 1).astype(np.uint8)
         bits = int.from_bytes(np.packbits(arr, bitorder="little").tobytes(),
                               "little")
-        return Gf2Series(n, bits, tuple(int(k) for k in np.flatnonzero(arr)))
+        return Gf2Series(n, bits, tuple(np.flatnonzero(arr).tolist()))
 
     def _mul_comb(self, other: "Gf2Series") -> "Gf2Series":
         # comb over the sparser operand, shifting the denser bit vector
         n = self.n_terms
-        f, g = (self, other) if len(self.support) <= len(other.support) else (other, self)
+        f, g = ((self, other) if self._bits.bit_count() <= other._bits.bit_count()
+                else (other, self))
         acc = 0
         gb = g._bits
         for i in f.support:
@@ -133,10 +141,17 @@ class Gf2Series:
         return Gf2Series(n, acc)
 
     def square(self) -> "Gf2Series":
-        """Frobenius: coefficient at 2k equals this series' coefficient at k."""
+        """Frobenius: coefficient at 2k equals this series' coefficient at k.
+
+        Only the low ceil(N/2) coefficients reach the truncated square; their
+        bytes are spread through a lookup table, bit k to bit 2k, in time
+        linear in N and without building the support.
+        """
         n = self.n_terms
-        doubled = [2 * k for k in self.support if 2 * k < n]
-        return Gf2Series.from_support(doubled, n)
+        half = (n + 1) // 2
+        low = self._bits & ((1 << half) - 1)
+        raw = np.frombuffer(low.to_bytes((half + 7) // 8, "little"), dtype=np.uint8)
+        return Gf2Series(n, int.from_bytes(_SPREAD[raw].tobytes(), "little"))
 
     def first_difference(self, other: "Gf2Series") -> Optional[int]:
         """Smallest index with differing coefficients, or None if equal below N."""

@@ -1,17 +1,21 @@
 """Partition-function parity and the Ballantine-Merca recurrence check.
 
-p(n) mod 2 is computed with the pentagonal-number recurrence (the signs
-vanish mod 2): bit n is the XOR of bits n - g over nonzero generalized
-pentagonal g <= n.  The per-n XOR over ~sqrt(24n)/3 offsets is evaluated
-as a vectorized gather; total cost O(N^1.5) bit operations.
+The parity series sum p(n) q^n is the reciprocal of Euler's product
+(q;q)_inf, and mod 2 that product is e = sum of q^g over the generalized
+pentagonal numbers g.  The reciprocal is computed by Newton inversion in
+characteristic 2 (Kung 1974): if e*g = 1 mod q^m, then g' = e*g(q^2)
+satisfies e*g' = (e*g)^2 = 1 mod q^2m, because squaring is the Frobenius
+map g(q) -> g(q^2).  Each step doubles the precision m, so about log2 N
+steps suffice.  A step is one linear-time square of a bit vector and a
+shift-xor comb over the O(sqrt m) pentagonal terms below m: O(m^1.5 / 64)
+word operations, so the last step dominates.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 from .gf2series import Gf2Series
 from .theta import eta_support, theta_series
@@ -19,17 +23,14 @@ from .theta import eta_support, theta_series
 
 @lru_cache(maxsize=8)
 def _parity_bits(n_terms: int) -> int:
-    pents = np.array([g for g in eta_support(n_terms) if g > 0], dtype=np.int64)
-    bits = np.zeros(n_terms, dtype=np.uint8)
-    bits[0] = 1  # p(0) = 1
-    if len(pents):
-        # number of usable offsets per n, so the gather slices stay exact
-        counts = np.searchsorted(pents, np.arange(n_terms), side="right")
-        xor_reduce = np.bitwise_xor.reduce
-        for n in range(1, n_terms):
-            bits[n] = xor_reduce(bits[n - pents[: counts[n]]])
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
-                          "little")
+    eta = eta_support(n_terms)
+    g = Gf2Series.one(1)  # 1/e to precision 1
+    while g.n_terms < n_terms:
+        m = min(2 * g.n_terms, n_terms)
+        e = Gf2Series.from_support(eta[:bisect_left(eta, m)], m)
+        # g(q^2) to precision m reads only the ceil(m/2) <= g.n_terms known bits
+        g = Gf2Series(m, g.bits).square()._mul_comb(e)
+    return g.bits
 
 
 def partition_parity(n_terms: int) -> Gf2Series:

@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from theta_parity.gf2series import Gf2Series
+from theta_parity.gf2series import SPARSE_THRESHOLD_FACTOR, Gf2Series
 
 
 def naive_mul(support_a, support_b, n_terms):
@@ -123,6 +123,36 @@ def test_kernels_match_naive_convolution_at_dense_inputs(data):
                           (f.square(), want_square)):
         assert got == expected
         assert got.support == expected.support
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_supports())
+def test_from_support_and_square_bits(data):
+    n, sa, _ = data
+    f = Gf2Series.from_support(sa, n)
+    assert f.bits == sum(1 << k for k in sa)
+    assert f.support == tuple(sa)
+    assert f.square() == Gf2Series.from_support([2 * k for k in sa if 2 * k < n], n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_supports())
+@example((256, list(range(256)), list(range(0, 256, 3))))
+def test_dense_operand_support_never_built(data):
+    n, sa, sb = data
+    if len(sa) < len(sb):
+        sa, sb = sb, sa
+    sparse = Gf2Series.from_support(sb, n)
+    want = Gf2Series.from_support(naive_mul(sa, sb, n), n)
+    dense = Gf2Series(n, sum(1 << k for k in sa))
+    assert dense.square() == Gf2Series.from_support(naive_mul(sa, sa, n), n)
+    assert dense._support is None
+    if len(sa) * len(sb) > SPARSE_THRESHOLD_FACTOR * n:  # mul takes the comb
+        assert dense.mul(sparse) == want
+    else:
+        assert dense._mul_comb(sparse) == want
+    if len(sa) > len(sb):  # the comb walks the sparser operand's support
+        assert dense._support is None
 
 
 @settings(max_examples=150, deadline=None)

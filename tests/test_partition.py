@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from theta_parity.gf2series import Gf2Series
 from theta_parity.partition import (BM_CONJECTURED_PAIRS, BM_REFUTED_PAIRS,
                                     bm_first_failure, partition_parity)
-from theta_parity.theta import theta_series
+from theta_parity.theta import eta_support, theta_series
 
 
 def exact_partition_counts(n_max):
@@ -15,6 +16,25 @@ def exact_partition_counts(n_max):
         for n in range(part, n_max + 1):
             table[n] += table[n - part]
     return table
+
+
+def pentagonal_parity_bits(n_terms):
+    """Oracle: the pentagonal-number recurrence, whose signs vanish mod 2.
+
+    Bit n is the XOR of bits n - g over nonzero generalized pentagonal
+    g <= n, one vectorized gather per n (O(N^1.5)).
+    """
+    pents = np.array([g for g in eta_support(n_terms) if g > 0], dtype=np.int64)
+    bits = np.zeros(n_terms, dtype=np.uint8)
+    bits[0] = 1  # p(0) = 1
+    if len(pents):
+        # number of usable offsets per n, so the gather slices stay exact
+        counts = np.searchsorted(pents, np.arange(n_terms), side="right")
+        xor_reduce = np.bitwise_xor.reduce
+        for n in range(1, n_terms):
+            bits[n] = xor_reduce(bits[n - pents[: counts[n]]])
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                          "little")
 
 
 def test_parity_examples():
@@ -30,6 +50,15 @@ def test_parity_matches_exact_enumeration_to_60():
     assert counts[:10] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
     for n in range(61):
         assert parity.coeff(n) == counts[n] % 2
+
+
+def test_newton_inversion_matches_pentagonal_recurrence():
+    # every truncation to 300, and around each power of two, where the
+    # last Newton step stops at an odd or a just-doubled precision
+    sizes = set(range(1, 301))
+    sizes.update(2 ** k + d for k in range(1, 14) for d in (-1, 0, 1))
+    for n in sorted(sizes):
+        assert partition_parity(n).bits == pentagonal_parity_bits(n), n
 
 
 def test_parity_table_interface():
@@ -48,7 +77,7 @@ def test_parity_table_interface():
 
 def test_normalization_against_euler_product():
     # P(q) * (q;q)_inf = 1, and (q;q)_inf = f_24 mod 2
-    n = 2000
+    n = 10 ** 5
     product = partition_parity(n).mul(theta_series(24, n))
     assert product == Gf2Series.one(n)
 

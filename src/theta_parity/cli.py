@@ -3,7 +3,8 @@
 Every subcommand prints one JSON object per line (command echo, inputs,
 status, payload); --plain switches to key=value text.  Exit codes: 0 on
 success, 1 when a checked claim fails (a witness was found where none
-was expected), 2 on usage errors.  Diagnostics go to stderr.
+was expected), 2 on usage errors, including arguments a command rejects
+as out of range.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import classify, partition, quadform, theta
 
 _EXIT_OK = 0
 _EXIT_CLAIM_FAILED = 1
+_EXIT_USAGE = 2
 
 
 def _common_flags(parser: argparse.ArgumentParser):
@@ -120,7 +122,7 @@ def _cmd_lemma_sols(args):
     if args.u is not None or args.v is not None:
         if args.u is None or args.v is None:
             print("lemma-sols: --u and --v must be given together", file=sys.stderr)
-            raise SystemExit(2)
+            raise SystemExit(_EXIT_USAGE)
         ok = quadform.lemma34_check(args.bp, args.cp, args.u, args.v)
         rec["check"] = ok
         rec["status"] = "ok" if ok else "failed"
@@ -143,7 +145,7 @@ def _cmd_weber(args):
     if args.reject:
         if args.b is None or args.c is None:
             print("weber: --reject needs --b and --c", file=sys.stderr)
-            raise SystemExit(2)
+            raise SystemExit(_EXIT_USAGE)
         cert = quadform.weber_reject(args.b, args.c, args.bound)
         if cert is None:
             return [_record(args, status="no_certificate")], _EXIT_OK
@@ -151,7 +153,7 @@ def _cmd_weber(args):
                 _EXIT_CLAIM_FAILED)
     if args.d is None:
         print("weber: either --reject --b --c or --d is required", file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_EXIT_USAGE)
     wp = quadform.find_weber_prime(args.d, args.s, args.t, args.m, args.bound)
     if wp is None:
         return [_record(args, status="not_found")], _EXIT_OK
@@ -299,7 +301,11 @@ def dispatch(argv: list[str]) -> int:
     args.echo = {k: v for k, v in sorted(vars(args).items())
                  if k not in ("fn", "command", "plain", "out", "echo")
                  and v is not None}
-    records, code = args.fn(args)
+    try:
+        records, code = args.fn(args)
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     _emit(records, args)
     return code
 

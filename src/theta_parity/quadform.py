@@ -2,6 +2,11 @@
 residue-class and solution-pair lemmas, and the Weber-prime refutation
 search.
 
+The refutation search walks the values u^2 + D*v^2 in ascending order,
+one numpy annulus at a time.  It yields only the representations it can
+use, p = 1 (mod L) with gcd(u, D) = 1; the others still count toward the
+search's ceiling on representations.
+
 Conventions: a triple (a, b, c) pairs y with b and z with c, i.e. the
 counted representations satisfy b | y^2 - 1 and c | z^2 - 1, and the
 exponent-level identity is c*y^2 + b*z^2 = b*c*k + b + c.
@@ -9,10 +14,11 @@ exponent-level identity is c*y^2 + b*z^2 = b*c*k + b + c.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .numth import (ResidueClass, is_prime, is_square, jacobi,
                     primes_in_class, squarefree_part, vp)
@@ -209,16 +215,73 @@ def find_weber_prime(D: int, s: int, t: int, M: int,
     return WeberPrime(best[0], best[1], best[2], D)
 
 
-def _ascending_representations(D: int) -> Iterator[tuple[int, int, int]]:
-    """(u^2 + D*v^2, u, v) over u, v >= 1, in ascending value order."""
-    heap = [(1 + D, 1, 1)]
-    while heap:
-        p, u, v = heapq.heappop(heap)
-        heapq.heappush(heap, (p + 2 * u + 1, u + 1, v))
-        if u == 1:
-            w = v + 1
-            heapq.heappush(heap, (1 + D * w * w, 1, w))
-        yield p, u, v
+# An annulus holds at most about this many lattice points, so the walk's
+# memory is bounded however far `limit` reaches.
+_ANNULUS_POINTS = 1 << 18
+# Below this, u^2 + D*v^2 and the float-seeded square roots are exact in
+# int64; beyond it the walk falls back to Python integers.
+_INT64_SAFE = 1 << 62
+
+
+def _isqrt_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise floor square root of a non-negative integer array."""
+    if x.dtype == object:
+        return np.frompyfunc(isqrt, 1, 1)(x)
+    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
+    return s
+
+
+def _row_bounds(D: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per v >= 1: v, u_lo and the number of u in (u_lo, u_hi], the
+    u-range with lo < u^2 + D*v^2 <= hi."""
+    dtype = np.int64 if hi < _INT64_SAFE else object
+    v = np.arange(1, isqrt((hi - 1) // D) + 1).astype(dtype)
+    dv2 = D * v * v
+    u_lo = _isqrt_array(np.maximum(lo - dv2, 0))
+    counts = _isqrt_array(hi - dv2) - u_lo
+    return v, u_lo, counts.astype(np.int64)
+
+
+def _congruent_representations(D: int, L: int,
+                               limit: int) -> Iterator[tuple[int, int, int]]:
+    """(p, u, v) with p = u^2 + D*v^2, u, v >= 1, p = 1 (mod L) and
+    gcd(u, D) = 1, in ascending (p, u) order, among the first `limit`
+    representations of all u, v >= 1 in that order.
+
+    Walks annuli lo < p <= hi.  `below` counts the representations with
+    p <= lo, so a point's rank is `below` plus its place in its annulus,
+    and the annulus that crosses `limit` keeps only its (limit - below)
+    smallest (p, u).  Each annulus tries to double hi, then halves its
+    width while its lattice count exceeds _ANNULUS_POINTS.  Halving,
+    unlike a cut in proportion to the count, also crosses the empty gap
+    below 1 + D in few steps when D is large.
+    """
+    lo, below, hi = 0, 0, max(64, 4 * L)
+    while below < limit:
+        v, u_lo, counts = _row_bounds(D, lo, hi)
+        while counts.sum() > _ANNULUS_POINTS and hi - lo > 1:
+            hi = lo + (hi - lo) // 2
+            v, u_lo, counts = _row_bounds(D, lo, hi)
+        size = int(counts.sum())
+        offsets = np.cumsum(counts) - counts - u_lo - 1
+        u = np.arange(size) - np.repeat(offsets, counts)
+        v = np.repeat(v, counts)
+        p = u * u + D * v * v
+        keep = p % L == 1
+        if below + size > limit:
+            k = limit - below
+            pk = np.partition(p, k - 1)[k - 1]
+            tied = np.sort(u[p == pk])
+            u_cut = tied[k - 1 - np.count_nonzero(p < pk)]
+            keep &= (p < pk) | ((p == pk) & (u <= u_cut))
+        p, u, v = p[keep], u[keep], v[keep]
+        keep = np.gcd(u, D) == 1
+        p, u, v = p[keep], u[keep], v[keep]
+        order = np.lexsort((u, p))
+        yield from zip(p[order].tolist(), u[order].tolist(), v[order].tolist())
+        lo, below, hi = hi, below + size, 2 * hi
 
 
 def constrained_count(b: int, c: int, p: int) -> int:
@@ -248,8 +311,12 @@ def weber_reject(b: int, c: int, bound: int, *,
                  max_enumerated: int = 2_000_000) -> Optional[WeberCertificate]:
     """Search for a Weber-prime refutation of f_a = f_b*f_c.
 
-    Candidates are primes p = u^2 + b'c'v^2 with p = 1 (mod lcm(a,b,c)),
-    taken in ascending order; `bound` caps how many are examined.  For
+    Candidates are primes p = u^2 + b'c'v^2 with p = 1 (mod lcm(a,b,c))
+    and gcd(u, b'c') = 1, taken in ascending (p, u) order; `bound` caps
+    how many are examined.  `max_enumerated` caps the rank of a
+    representation among all u^2 + b'c'v^2 with u, v >= 1 in that order,
+    congruent or not: only representations of rank <= max_enumerated are
+    considered, although only the congruent ones are generated.  For
     each, the two predicted pairs are tested against b | y^2-1 and
     c | z^2-1.  When exactly one passes, the representation count at
     index (p-1)/a is odd while a*k+1 = p is prime, hence non-square:
@@ -267,13 +334,7 @@ def weber_reject(b: int, c: int, bound: int, *,
     D = b_p * c_p
     L = lcm(a, b, c)
     examined = 0
-    enumerated = 0
-    for p, u, v in _ascending_representations(D):
-        enumerated += 1
-        if enumerated > max_enumerated:
-            return None
-        if p % L != 1 or gcd(u, D) != 1:
-            continue
+    for p, u, v in _congruent_representations(D, L, max_enumerated):
         if not is_prime(p):
             continue
         examined += 1

@@ -162,6 +162,21 @@ def test_usage_error_exit_code():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["weber", "--reject", "--b", "5", "--c", "7", "--bound", "3"],
+    ["series", "--m", "0", "--terms", "5"],
+    ["classify", "--terms", "2000", "--weber-bound", "0"],
+])
+def test_rejected_arguments_exit_as_usage_errors(capsys, argv):
+    # exit 1 means a refuted claim; an argument the command rejects is a
+    # usage error: one stderr line, nothing on stdout
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(argv[0] + ": ")
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "theta_parity.cli", "series", "--m", "24",

@@ -1,13 +1,20 @@
+import heapq
 import random
-from math import gcd, isqrt
+from itertools import islice
+from math import gcd, isqrt, lcm
 
+import numpy as np
 import pytest
 
+from theta_parity import quadform
+from theta_parity.classify import ClassifyConfig, enumerate_candidates
 from theta_parity.numth import is_prime, jacobi, primes_in_class, vp
-from theta_parity.quadform import (SolutionPair, constrained_count,
-                                   find_weber_prime, lemma32_residue,
-                                   lemma34_check, lemma34_pairs,
-                                   lemma34_solutions, repcount, weber_reject)
+from theta_parity.quadform import (SolutionPair, WeberCertificate, WeberPrime,
+                                   _congruent_representations, _isqrt_array,
+                                   constrained_count, find_weber_prime,
+                                   lemma32_residue, lemma34_check,
+                                   lemma34_pairs, lemma34_solutions, repcount,
+                                   weber_reject)
 from theta_parity.theta import theta_series
 
 
@@ -216,3 +223,143 @@ def test_weber_reject_empty_on_true_identities():
 def test_weber_reject_validation():
     with pytest.raises(ValueError):
         weber_reject(5, 7, 10)   # no integer a
+
+
+def _ascending_representations(D):
+    """Oracle: (u^2 + D*v^2, u, v) over u, v >= 1 in ascending (p, u)
+    order.  Each popped (u, v) pushes (u + 1, v), and u = 1 also pushes
+    (1, v + 1), so every point's parent has a smaller value."""
+    heap = [(1 + D, 1, 1)]
+    while heap:
+        p, u, v = heapq.heappop(heap)
+        heapq.heappush(heap, (p + 2 * u + 1, u + 1, v))
+        if u == 1:
+            w = v + 1
+            heapq.heappush(heap, (1 + D * w * w, 1, w))
+        yield p, u, v
+
+
+def heap_congruent(reps, D, L, limit):
+    """The filter weber_reject used to apply to the heap stream."""
+    return [(p, u, v) for p, u, v in islice(reps, limit)
+            if p % L == 1 and gcd(u, D) == 1]
+
+
+def heap_weber_reject(b, c, bound, max_enumerated, reps):
+    """weber_reject as it was with the heap: `reps` is the ascending
+    stream of all representations, at least max_enumerated long."""
+    a = b * c // (b + c)
+    d = gcd(b, c)
+    b_p, c_p = b // d, c // d
+    D = b_p * c_p
+    L = lcm(a, b, c)
+    examined = 0
+    enumerated = 0
+    for p, u, v in reps:
+        enumerated += 1
+        if enumerated > max_enumerated:
+            return None
+        if p % L != 1 or gcd(u, D) != 1:
+            continue
+        if not is_prime(p):
+            continue
+        examined += 1
+        pair1, pair2 = lemma34_pairs(b_p, c_p, u, v)
+        ok1 = (pair1.y ** 2 - 1) % b == 0 and (pair1.z ** 2 - 1) % c == 0
+        ok2 = (pair2.y ** 2 - 1) % b == 0 and (pair2.z ** 2 - 1) % c == 0
+        if ok1 != ok2 and constrained_count(b, c, p) % 2 == 1:
+            passing, failing = (pair1, pair2) if ok1 else (pair2, pair1)
+            return WeberCertificate(WeberPrime(p, u, v, D), passing, failing,
+                                    (p - 1) // a)
+        if examined >= bound:
+            return None
+    return None
+
+
+def test_isqrt_array_exact_up_to_int64_limit():
+    # around squares, where the float seed is off by one either way
+    rng = random.Random(11)
+    roots = [1, 2, 3, 2 ** 26 + 1, 2 ** 31 - 1] + [
+        rng.randrange(1, 2 ** 31) for _ in range(2000)]
+    xs = [x for k in roots for x in (k * k - 1, k * k, k * k + 1)
+          if x < quadform._INT64_SAFE]
+    assert _isqrt_array(np.array(xs, dtype=np.int64)).tolist() == [
+        isqrt(x) for x in xs]
+    wide = [2 ** 62, 2 ** 70 + 5, (2 ** 40 + 1) ** 2]
+    assert _isqrt_array(np.array(wide, dtype=object)).tolist() == [
+        isqrt(x) for x in wide]
+
+
+def test_congruent_representations_match_heap():
+    limits = (1, 2, 10, 1000, 30000)
+    for D in (1, 2, 3, 5, 7, 11, 15, 23, 95, 119, 143):
+        reps = list(islice(_ascending_representations(D), max(limits)))
+        for L in (1, 2, 4, 12, 36, 240, 2280):
+            for limit in limits:
+                assert (list(_congruent_representations(D, L, limit))
+                        == heap_congruent(reps, D, L, limit)), (D, L, limit)
+
+
+def test_congruent_representations_small_annuli_and_wide_values(monkeypatch):
+    # a small cap forces many halved annuli and a rank cutoff inside one;
+    # D near 2^62 walks across the int64 limit into Python integers
+    monkeypatch.setattr(quadform, "_ANNULUS_POINTS", 64)
+    cases = [(D, L, limit) for D in (1, 7, 119) for L in (3, 12, 2280)
+             for limit in (1, 10, 1000, 3000)]
+    cases += [(D, L, limit) for D in (2 ** 62 - 1000, 2 ** 62 + 1)
+              for L in (2, 24) for limit in (10, 300)]
+    for D, L, limit in cases:
+        reps = list(islice(_ascending_representations(D), limit))
+        assert (list(_congruent_representations(D, L, limit))
+                == heap_congruent(reps, D, L, limit)), (D, L, limit)
+
+
+def test_congruent_representations_empty_limit():
+    assert list(_congruent_representations(3, 36, 0)) == []
+
+
+def test_weber_reject_matches_heap_search():
+    # every candidate and the b' = c' family, at rank cutoffs that fall
+    # before, inside and after the certificates
+    by_D = {}
+    for t in enumerate_candidates():
+        by_D.setdefault(t.b_p * t.c_p, []).append((t.b, t.c, (1, 150, 2500, 20000)))
+    by_D.setdefault(1, []).extend((d, d, (1, 300)) for d in range(2, 41, 2))
+    for D, pairs in by_D.items():
+        reps = list(islice(_ascending_representations(D), 20000))
+        for b, c, limits in pairs:
+            for max_enumerated in limits:
+                for bound in (1, 3, 12, 40):
+                    got = weber_reject(b, c, bound, max_enumerated=max_enumerated)
+                    want = heap_weber_reject(b, c, bound, max_enumerated, reps)
+                    assert got == want, (b, c, bound, max_enumerated)
+
+
+def test_weber_reject_default_config_certificates():
+    # (p, u, v, index) of the eight certificates of the default classify
+    # run; every other candidate gets none
+    expected = {
+        (9, 12, 36): (37, 5, 2, 4),
+        (18, 24, 72): (73, 5, 4, 4),
+        (36, 48, 144): (1153, 31, 8, 32),
+        (40, 48, 240): (241, 14, 3, 6),
+        (45, 72, 120): (1801, 29, 8, 40),
+        (63, 72, 504): (2017, 15, 16, 32),
+        (90, 144, 240): (15121, 119, 8, 168),
+        (126, 144, 1008): (2017, 15, 16, 16),
+    }
+    config = ClassifyConfig()
+    got = {}
+    for t in enumerate_candidates():
+        cert = weber_reject(t.b, t.c, config.weber_bound,
+                            max_enumerated=config.weber_max_enumerated)
+        if cert is not None:
+            got[t.as_tuple()] = (cert.prime.p, cert.prime.u, cert.prime.v,
+                                 cert.index)
+    assert got == expected
+    # these three run out of representations before weber_bound primes
+    for a, b, c in ((506, 528, 12144), (1190, 1680, 4080), (1330, 1680, 6384)):
+        d = gcd(b, c)
+        stream = _congruent_representations(
+            (b // d) * (c // d), lcm(a, b, c), config.weber_max_enumerated)
+        assert sum(is_prime(p) for p, _, _ in stream) < config.weber_bound

@@ -7,7 +7,7 @@ from .classify import (Certificate, ClassificationReport, ClassifyConfig,
                        family_criterion, run_classification,
                        theorem_prediction, verify_triple)
 from .gf2series import Gf2Series
-from .numth import (ResidueClass, crt, is_prime, is_square, jacobi,
+from .numth import (ResidueClass, is_prime, is_square, jacobi,
                     primes_in_class, squarefree_part, vp)
 from .partition import (BM_CONJECTURED_PAIRS, BM_REFUTED_PAIRS,
                         bm_first_failure, partition_parity)
@@ -22,7 +22,7 @@ __all__ = [
     "ClassificationReport", "ClassifyConfig", "Gf2Series", "ResidueClass",
     "SPORADIC_TRIPLES", "SolutionPair", "Triple", "WeberCertificate",
     "WeberPrime", "bm_first_failure", "brute_search", "candidate_filter",
-    "crt", "egyptian_a", "enumerate_candidates", "eta_power_series",
+    "egyptian_a", "enumerate_candidates", "eta_power_series",
     "eta_support", "euler_jacobi_check", "family_criterion",
     "find_weber_prime", "is_prime", "is_square", "jacobi", "lemma32_residue",
     "lemma34_check", "lemma34_solutions", "partition_parity",

@@ -167,15 +167,24 @@ def enumerate_candidates() -> list[Triple]:
     return sorted(out)
 
 
+# Truncation of the cheap first comparison: witnesses live at tiny
+# indices, so most decoys never touch the full-length series.
+PREFILTER_TERMS = 4096
+
+
 @dataclass(frozen=True)
 class ClassifyConfig:
     """Knobs for run_classification; defaults match the desk-scale run."""
 
-    prefilter_terms: int = 4096
     weber_bound: int = 12
     weber_max_enumerated: int = 300_000
     family_spot_max_d: int = 200
     family_spot_terms: int = 4096
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -212,9 +221,7 @@ class ClassificationReport:
 
 def _decide_candidate(triple: Triple, n_terms: int,
                       config: ClassifyConfig) -> Certificate:
-    # cheap truncation first: witnesses live at tiny indices, so most
-    # decoys never touch the full-length series
-    pre = min(config.prefilter_terms, n_terms)
+    pre = min(PREFILTER_TERMS, n_terms)
     cert = verify_triple(triple.a, triple.b, triple.c, pre)
     if cert.status == VERIFIED and pre < n_terms:
         cert = verify_triple(triple.a, triple.b, triple.c, n_terms)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import classify, partition, quadform, theta
+from .numth import primes_in_class
 
 _EXIT_OK = 0
 _EXIT_CLAIM_FAILED = 1
@@ -135,7 +135,6 @@ def _cmd_lemma_p(args):
         cls = quadform.lemma32_residue(args.u, args.v, args.strict)
     except ArithmeticError as exc:
         return [_record(args, status="failed", error=str(exc))], _EXIT_CLAIM_FAILED
-    from .numth import primes_in_class
     primes = primes_in_class(cls, 5)
     return [_record(args, status="ok", q=cls.q, Q=cls.Q,
                     certified_primes=primes)], _EXIT_OK
@@ -161,10 +160,7 @@ def _cmd_weber(args):
 
 
 def _cmd_verify(args):
-    t0 = time.perf_counter()
     cert = classify.verify_triple(args.a, args.b, args.c, args.terms)
-    print(f"verify ({args.a},{args.b},{args.c}) at N={args.terms}: "
-          f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
     rec = _record(args, status=cert.status, terms=cert.n_terms)
     if cert.witness is not None:
         rec["witness"] = cert.witness
@@ -174,15 +170,11 @@ def _cmd_verify(args):
 
 def _cmd_classify(args):
     config = classify.ClassifyConfig(
-        prefilter_terms=args.prefilter_terms,
         weber_bound=args.weber_bound,
         family_spot_max_d=args.family_d,
         family_spot_terms=args.family_terms,
     )
-    t0 = time.perf_counter()
     report = classify.run_classification(args.terms, config)
-    print(f"classification at N={args.terms}: {time.perf_counter() - t0:.1f}s",
-          file=sys.stderr)
     records = [_record(args, kind="candidate", **_certificate_dict(c))
                for c in report.certificates]
     records.append(_record(
@@ -199,10 +191,7 @@ def _cmd_classify(args):
 
 
 def _cmd_brute(args):
-    t0 = time.perf_counter()
     found = classify.brute_search(args.bound, args.terms)
-    print(f"brute search bound={args.bound} N={args.terms}: "
-          f"{time.perf_counter() - t0:.1f}s", file=sys.stderr)
     predicted = classify.theorem_prediction(args.bound)
     match = found == predicted
     records = [_record(args, kind="triple", triple=list(t.as_tuple()))
@@ -283,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", _cmd_classify, help="reproduce the classification theorem")
     p.add_argument("--terms", type=int, default=10 ** 6)
-    p.add_argument("--prefilter-terms", type=int, default=4096)
     p.add_argument("--weber-bound", type=int, default=12)
     p.add_argument("--family-d", type=int, default=200)
     p.add_argument("--family-terms", type=int, default=4096)

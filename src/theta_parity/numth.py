@@ -7,7 +7,6 @@ never overflow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Optional
@@ -18,8 +17,8 @@ class ResidueClass:
     """The congruence class q mod Q.
 
     Coprimality gcd(q, Q) = 1 is required where a class feeds a prime
-    search (Dirichlet), but is not enforced here: merging non-coprime
-    congruences in crt() legitimately produces classes such as 9 mod 12.
+    search (Dirichlet), but is not enforced here: a class such as 9 mod 12
+    is still a valid congruence, and primes_in_class rejects it.
     """
 
     q: int
@@ -117,28 +116,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def crt(constraints) -> Optional[ResidueClass]:
-    """Combine congruences x = r_i (mod m_i) into one class mod lcm(m_i).
-
-    Moduli need not be pairwise coprime; pairwise merging with a gcd
-    consistency check.  Returns None when the system is contradictory.
-    """
-    r, m = 0, 1
-    for r2, m2 in constraints:
-        if m2 < 1:
-            raise ValueError(f"modulus must be positive, got {m2}")
-        r2 %= m2
-        g = gcd(m, m2)
-        if (r2 - r) % g != 0:
-            return None
-        lcm = m // g * m2
-        # r + m*t = r2 (mod m2)  =>  t = (r2-r)/g * inv(m/g) (mod m2/g)
-        t = ((r2 - r) // g * pow(m // g, -1, m2 // g)) % (m2 // g)
-        r = (r + m * t) % lcm
-        m = lcm
-    return ResidueClass(r, m)
-
-
 def primes_in_class(cls: ResidueClass, count: int) -> list[int]:
     """The `count` smallest primes p = q (mod Q), ascending."""
     if count < 1:
@@ -185,7 +162,3 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def lcm(*values: int) -> int:
-    return math.lcm(*values)

@@ -1,36 +1,42 @@
 """Partition-function parity and the Ballantine-Merca recurrence check.
 
-The parity series sum p(n) q^n is the reciprocal of Euler's product
-(q;q)_inf, and mod 2 that product is e = sum of q^g over the generalized
-pentagonal numbers g.  The reciprocal is computed by Newton inversion in
-characteristic 2 (Kung 1974): if e*g = 1 mod q^m, then g' = e*g(q^2)
-satisfies e*g' = (e*g)^2 = 1 mod q^2m, because squaring is the Frobenius
-map g(q) -> g(q^2).  Each step doubles the precision m, so about log2 N
-steps suffice.  A step is one linear-time square of a bit vector and a
-shift-xor comb over the O(sqrt m) pentagonal terms below m: O(m^1.5 / 64)
-word operations, so the last step dominates.
+The parity series P(q) = sum p(n) q^n is the reciprocal of Euler's
+product (q;q)_inf.  Mod 2 it satisfies
+
+    P(q) = f_8(q) * P(q^4),
+
+because 1/(q;q) = (q;q)^3 / (q;q)^4, (q;q)^3 = f_8 mod 2 (Jacobi's
+congruence, checked as euler_jacobi_check(3) by
+test_euler_jacobi_check_small and acceptance criterion 02), and
+(q;q)^4 = (q^4;q^4) mod 2 by two Frobenius squarings g(q) -> g(q^2).
+So P to precision m follows from P to precision ceil(m/4): each level
+quadruples the precision, and about log4 N levels suffice.
+
+A level pads the k known bits with zeros to m <= 4k terms and squares
+twice.  The second square reads only the low ceil(m/2) bits of the
+first, and those come from the low ceil(m/4) <= k bits of the padded
+series, so the padding never reaches the result.  The product with f_8
+calls the shift-xor comb directly: f_8 has O(sqrt m) terms against a
+dense P(q^4), and the public mul would send the middle levels to the
+slower sparse pair-sum path.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from typing import Optional
 
 from .gf2series import Gf2Series
-from .theta import eta_support, theta_series
+from .theta import theta_series
 
 
 @lru_cache(maxsize=8)
 def _parity_bits(n_terms: int) -> int:
-    eta = eta_support(n_terms)
-    g = Gf2Series.one(1)  # 1/e to precision 1
-    while g.n_terms < n_terms:
-        m = min(2 * g.n_terms, n_terms)
-        e = Gf2Series.from_support(eta[:bisect_left(eta, m)], m)
-        # g(q^2) to precision m reads only the ceil(m/2) <= g.n_terms known bits
-        g = Gf2Series(m, g.bits).square()._mul_comb(e)
-    return g.bits
+    p = Gf2Series.one(1)  # P to precision 1
+    while p.n_terms < n_terms:
+        m = min(4 * p.n_terms, n_terms)
+        p = Gf2Series(m, p.bits).square().square()._mul_comb(theta_series(8, m))
+    return p.bits
 
 
 def partition_parity(n_terms: int) -> Gf2Series:

@@ -63,7 +63,7 @@ class WeberCertificate:
 
     At coefficient index k = (p - 1)/a the product f_b*f_c has an odd
     number of representations (exactly one of the two lemma pairs meets
-    the divisibility constraints, confirmed by exhaustive scan), while
+    the divisibility constraints, confirmed by repcount), while
     a*k + 1 = p is prime, hence not a square.
     """
 
@@ -284,29 +284,6 @@ def _congruent_representations(D: int, L: int,
         lo, below, hi = hi, below + size, 2 * hi
 
 
-def constrained_count(b: int, c: int, p: int) -> int:
-    """#{(y,z) >= 0 : c'y^2 + b'z^2 = (b'+c')p, b | y^2-1, c | z^2-1}.
-
-    This is exactly repcount(b, c, (p-1)/a) re-expressed in the (y, z)
-    variables, used to confirm Weber certificates independently of the
-    two-pair prediction.
-    """
-    d = gcd(b, c)
-    b_p, c_p = b // d, c // d
-    target = (b_p + c_p) * p
-    count = 0
-    for y in range(isqrt(target // c_p) + 1):
-        rem = target - c_p * y * y
-        if rem % b_p:
-            continue
-        z = is_square(rem // b_p)
-        if z is None:
-            continue
-        if (y * y - 1) % b == 0 and (z * z - 1) % c == 0:
-            count += 1
-    return count
-
-
 def weber_reject(b: int, c: int, bound: int, *,
                  max_enumerated: int = 2_000_000) -> Optional[WeberCertificate]:
     """Search for a Weber-prime refutation of f_a = f_b*f_c.
@@ -320,9 +297,9 @@ def weber_reject(b: int, c: int, bound: int, *,
     each, the two predicted pairs are tested against b | y^2-1 and
     c | z^2-1.  When exactly one passes, the representation count at
     index (p-1)/a is odd while a*k+1 = p is prime, hence non-square:
-    a refutation.  The parity is re-confirmed by exhaustive scan before
-    the certificate is returned.  Absence of a certificate within the
-    bound is inconclusive, never an acceptance.
+    a refutation.  The parity is re-confirmed by repcount at that index
+    before the certificate is returned.  Absence of a certificate within
+    the bound is inconclusive, never an acceptance.
     """
     if b < 1 or c < 1 or bound < 1:
         raise ValueError("b, c, bound must be positive")
@@ -341,7 +318,7 @@ def weber_reject(b: int, c: int, bound: int, *,
         pair1, pair2 = lemma34_pairs(b_p, c_p, u, v)
         ok1 = (pair1.y ** 2 - 1) % b == 0 and (pair1.z ** 2 - 1) % c == 0
         ok2 = (pair2.y ** 2 - 1) % b == 0 and (pair2.z ** 2 - 1) % c == 0
-        if ok1 != ok2 and constrained_count(b, c, p) % 2 == 1:
+        if ok1 != ok2 and repcount(b, c, (p - 1) // a) % 2 == 1:
             passing, failing = (pair1, pair2) if ok1 else (pair2, pair1)
             return WeberCertificate(WeberPrime(p, u, v, D), passing, failing,
                                     (p - 1) // a)

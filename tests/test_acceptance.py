@@ -18,8 +18,8 @@ from theta_parity.gf2series import Gf2Series
 from theta_parity.numth import is_prime, is_square, jacobi, primes_in_class, vp
 from theta_parity.partition import (BM_CONJECTURED_PAIRS, BM_REFUTED_PAIRS,
                                     bm_first_failure, partition_parity)
-from theta_parity.quadform import (constrained_count, lemma32_residue,
-                                   lemma34_check, repcount, weber_reject)
+from theta_parity.quadform import (lemma32_residue, lemma34_check, repcount,
+                                   weber_reject)
 from theta_parity.theta import euler_jacobi_check, theta_series
 
 
@@ -208,7 +208,7 @@ def test_criterion_08_lemma32_property_suite():
 def test_criterion_09_weber_refutation():
     cert = weber_reject(24, 72, 100)
     cert_ok = (cert is not None and cert.prime.p == 73
-               and constrained_count(24, 72, 73) % 2 == 1)
+               and repcount(24, 72, (73 - 1) // 18) % 2 == 1)
     none_found = []
     for t in SPORADIC_TRIPLES:
         if weber_reject(t.b, t.c, 100) is not None:

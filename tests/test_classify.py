@@ -86,6 +86,15 @@ def test_run_classification_small_scale():
     assert all(vp(t.d, 2) == 4 for t in report.weak_bound_admits)
 
 
+@pytest.mark.parametrize("field", ["weber_bound", "weber_max_enumerated",
+                                   "family_spot_max_d", "family_spot_terms"])
+def test_classify_config_rejects_non_positive_fields(field):
+    assert getattr(ClassifyConfig(**{field: 1}), field) == 1
+    for value in (0, -3):
+        with pytest.raises(ValueError, match=field):
+            ClassifyConfig(**{field: value})
+
+
 def test_theorem_prediction_small():
     assert [t.as_tuple() for t in theorem_prediction(12)] == \
         [(2, 4, 4), (4, 6, 12), (4, 8, 8), (6, 12, 12)]

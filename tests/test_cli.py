@@ -162,6 +162,11 @@ def test_usage_error_exit_code():
     assert result.returncode == 2
 
 
+# what each rejected command line below must name in its message
+_REJECTED = {"weber": "(5, 7)", "series": "m and n_terms",
+             "classify": "weber_bound"}
+
+
 @pytest.mark.parametrize("argv", [
     ["weber", "--reject", "--b", "5", "--c", "7", "--bound", "3"],
     ["series", "--m", "0", "--terms", "5"],
@@ -169,12 +174,25 @@ def test_usage_error_exit_code():
 ])
 def test_rejected_arguments_exit_as_usage_errors(capsys, argv):
     # exit 1 means a refuted claim; an argument the command rejects is a
-    # usage error: one stderr line, nothing on stdout
+    # usage error: one stderr line naming it, nothing on stdout
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(argv[0] + ": ")
+    assert _REJECTED[argv[0]] in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--a", "4", "--b", "6", "--c", "12", "--terms", "2000"],
+    ["classify", "--terms", "2000", "--weber-bound", "1", "--family-d", "8"],
+    ["brute", "--bound", "8", "--terms", "500"],
+])
+def test_successful_runs_write_nothing_to_stderr(capsys, argv):
+    assert dispatch(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out
+    assert captured.err == ""
 
 
 def test_console_entry_point():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_parity.numth import (ResidueClass, crt, is_prime, is_square,
-                                jacobi, primes_in_class, squarefree_part, vp)
+from theta_parity.numth import (ResidueClass, is_prime, is_square, jacobi,
+                                primes_in_class, squarefree_part, vp)
 
 
 def test_is_square_examples():
@@ -124,32 +124,6 @@ def test_is_prime_rejects_values_beyond_deterministic_bound():
     for n in (psi12, psi12 + 2, 10 ** 30):
         with pytest.raises(ValueError):
             is_prime(n)
-
-
-def test_crt_examples():
-    assert crt([(2, 3), (3, 5)]) == ResidueClass(8, 15)
-    assert crt([(1, 4), (3, 6)]) == ResidueClass(9, 12)
-    assert crt([(1, 2), (0, 2)]) is None
-
-
-def test_crt_empty_and_trivial():
-    assert crt([]) == ResidueClass(0, 1)
-    assert crt([(7, 1)]) == ResidueClass(0, 1)
-
-
-@settings(max_examples=200)
-@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12)),
-                min_size=1, max_size=4))
-def test_crt_matches_residue_scan(constraints):
-    combined = crt(constraints)
-    lcm = math.lcm(*(m for _, m in constraints))
-    matching = [x for x in range(lcm)
-                if all(x % m == r % m for r, m in constraints)]
-    if combined is None:
-        assert matching == []
-    else:
-        assert combined.Q == lcm
-        assert matching == [combined.q]
 
 
 def test_primes_in_class_examples():

@@ -52,11 +52,13 @@ def test_parity_matches_exact_enumeration_to_60():
         assert parity.coeff(n) == counts[n] % 2
 
 
-def test_newton_inversion_matches_pentagonal_recurrence():
-    # every truncation to 300, and around each power of two, where the
-    # last Newton step stops at an odd or a just-doubled precision
+def test_partition_parity_matches_pentagonal_recurrence():
+    # every truncation to 300, around each power of two, and around each
+    # power of four, where the last level of P(q) = f_8(q) P(q^4) stops
+    # short of or exactly at a quadrupled precision
     sizes = set(range(1, 301))
     sizes.update(2 ** k + d for k in range(1, 14) for d in (-1, 0, 1))
+    sizes.update(4 ** k + d for k in range(1, 8) for d in (-1, 0, 1))
     for n in sorted(sizes):
         assert partition_parity(n).bits == pentagonal_parity_bits(n), n
 

@@ -8,10 +8,10 @@ import pytest
 
 from theta_parity import quadform
 from theta_parity.classify import ClassifyConfig, enumerate_candidates
-from theta_parity.numth import is_prime, jacobi, primes_in_class, vp
+from theta_parity.numth import is_prime, is_square, jacobi, primes_in_class, vp
 from theta_parity.quadform import (SolutionPair, WeberCertificate, WeberPrime,
                                    _congruent_representations, _isqrt_array,
-                                   constrained_count, find_weber_prime,
+                                   find_weber_prime,
                                    lemma32_residue, lemma34_check,
                                    lemma34_pairs, lemma34_solutions, repcount,
                                    weber_reject)
@@ -211,8 +211,8 @@ def test_weber_reject_certificate_for_failing_pair():
     assert cert.failing_pair == SolutionPair(9, 7)
     # index is the refuted coefficient: a*k + 1 = p with a = 18
     assert 18 * cert.index + 1 == 73
-    # independent confirmation by exhaustive scan
-    assert constrained_count(24, 72, 73) == 1
+    # exactly one representation at the refuted index
+    assert repcount(24, 72, cert.index) == 1
 
 
 def test_weber_reject_empty_on_true_identities():
@@ -267,7 +267,7 @@ def heap_weber_reject(b, c, bound, max_enumerated, reps):
         pair1, pair2 = lemma34_pairs(b_p, c_p, u, v)
         ok1 = (pair1.y ** 2 - 1) % b == 0 and (pair1.z ** 2 - 1) % c == 0
         ok2 = (pair2.y ** 2 - 1) % b == 0 and (pair2.z ** 2 - 1) % c == 0
-        if ok1 != ok2 and constrained_count(b, c, p) % 2 == 1:
+        if ok1 != ok2 and repcount(b, c, (p - 1) // a) % 2 == 1:
             passing, failing = (pair1, pair2) if ok1 else (pair2, pair1)
             return WeberCertificate(WeberPrime(p, u, v, D), passing, failing,
                                     (p - 1) // a)
@@ -356,6 +356,12 @@ def test_weber_reject_default_config_certificates():
         if cert is not None:
             got[t.as_tuple()] = (cert.prime.p, cert.prime.u, cert.prime.v,
                                  cert.index)
+            # re-check the refuted coefficient by series, which the Weber
+            # search never computes: f_b*f_c is 1 there, f_a is 0
+            n = cert.index + 1
+            prod = theta_series(t.b, n).mul(theta_series(t.c, n))
+            assert prod.coeff(cert.index) == 1, t
+            assert is_square(t.a * cert.index + 1) is None, t
     assert got == expected
     # these three run out of representations before weber_bound primes
     for a, b, c in ((506, 528, 12144), (1190, 1680, 4080), (1330, 1680, 6384)):

@@ -298,33 +298,55 @@ def brute_search(bound: int, n_terms: int = 2000, a_cap: Optional[int] = None
     """All (b <= c <= bound) admitting some integer a with f_a = f_b*f_c
     below n_terms, found without using the necessary-condition filters.
 
-    For each pair the product's smallest nonzero support index k1 pins
-    the possible a: a*k1 + 1 must be a square, so a = (y^2-1)/k1 for
-    some root y.  Candidates up to a_cap (default 4*n_terms; any true
-    match has a < b, far below) are checked by full support equality.
+    For each pair the product's two smallest nonzero support indices
+    k1 < k2 pin the possible a: a*k1 + 1 and a*k2 + 1 must both be
+    squares.  Candidates up to a_cap (default 4*n_terms; any true match
+    has a < b, far below) are checked in ascending order by full series
+    equality, and the first match is kept.
+
+    Each piece of work is done once per call: f_m is built once per m,
+    the a with a*k1 + 1 square, a = (y^2-1)/k1, are listed once per k1,
+    and the candidates that also pass k2 once per (k1, k2).  Nothing is
+    kept between calls.
     """
     if bound < 4 or n_terms < 8:
         raise ValueError("need bound >= 4 and n_terms >= 8")
     if a_cap is None:
         a_cap = 4 * n_terms
-    series = {m: theta_series(m, n_terms) for m in range(1, bound + 1)}
+    if a_cap < 1:
+        raise ValueError(f"a_cap must be >= 1, got {a_cap}")
+    series = {}   # m -> f_m
+    by_k1 = {}    # k1 -> ascending a <= a_cap with a*k1 + 1 square
+    by_pair = {}  # (k1, k2) -> those a with a*k2 + 1 square too
+
+    def theta(m: int):
+        if m not in series:
+            series[m] = theta_series(m, n_terms)
+        return series[m]
+
+    def candidates(k1: int, k2: Optional[int]) -> list[int]:
+        if (k1, k2) not in by_pair:
+            if k1 not in by_k1:
+                by_k1[k1] = [(y * y - 1) // k1
+                             for y in range(2, isqrt(a_cap * k1 + 1) + 1)
+                             if (y * y - 1) % k1 == 0]
+            by_pair[k1, k2] = [a for a in by_k1[k1] if k2 is None
+                               or is_square(a * k2 + 1) is not None]
+        return by_pair[k1, k2]
+
     found = []
     for b in range(1, bound + 1):
         for c in range(b, bound + 1):
-            prod = series[b].mul(series[c])
-            nonzero = [k for k in prod.support if k > 0]
-            if not nonzero:
+            prod = theta(b).mul(theta(c))
+            rest = prod.bits >> 1  # bit j is the coefficient at j + 1
+            if not rest:
                 continue
-            k1 = nonzero[0]
-            k2 = nonzero[1] if len(nonzero) > 1 else None
-            for y in range(2, isqrt(a_cap * k1 + 1) + 1):
-                r = y * y - 1
-                if r % k1 != 0:
-                    continue
-                a = r // k1
-                if k2 is not None and is_square(a * k2 + 1) is None:
-                    continue
-                if theta_series(a, n_terms) == prod:
+            low = rest & -rest
+            k1 = low.bit_length()
+            rest ^= low
+            k2 = (rest & -rest).bit_length() if rest else None
+            for a in candidates(k1, k2):
+                if theta(a) == prod:
                     found.append(Triple(a, b, c))
                     break
     return sorted(found)

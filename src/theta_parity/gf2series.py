@@ -8,11 +8,16 @@ lazily and cached.
 Multiplication dispatches between two paths:
 
   * sparse x sparse: toggle the parity of every pair sum i+j < N
-    (vectorized as an outer sum + bincount).  This is the workhorse for
-    theta-function products, whose supports have ~sqrt(N/m) density.
+    (vectorized as an outer sum + bincount).  It costs wa*wb pair sums
+    plus an N-length bincount, for operands with wa and wb terms.
   * shift-xor comb: acc ^= dense_bits << i over the sparser operand's
-    support, for products with a dense operand such as the partition
-    parity series.
+    support.  It costs min(wa, wb) shifts and xors of an N-bit int, about
+    N/64 machine words each.
+
+mul() counts both costs from the operands' bit counts and runs the
+cheaper path.  Long theta products (f_8*f_24 at N = 10^6) go sparse;
+short ones (N of a few thousand) and products with a dense operand, such
+as the partition parity series, go to the comb.
 
 Both are truncation-first: no coefficient at or beyond n_terms is ever
 reported, and all identity claims are "below N" claims.
@@ -24,13 +29,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# mul() uses the sparse path while |support(f)| * |support(g)| <= factor * N.
-SPARSE_THRESHOLD_FACTOR = 64
-
 # _SPREAD[b] is byte b with a zero bit after each of its bits: bit i moves
 # to bit 2i, so spreading a series' bytes through it is the Frobenius map.
 _BYTES = np.arange(256, dtype=np.uint16)
 _SPREAD = sum(((_BYTES >> i) & 1) << (2 * i) for i in range(8)).astype("<u2")
+
+
+def _sparse_is_cheaper(wa: int, wb: int, n: int) -> bool:
+    """True when the pair-sum path should multiply operands with wa and wb
+    terms below n: its wa*wb pair sums plus an n-length bincount cost less
+    than the comb's min(wa, wb) shift-xors of n//64 + 1 words each."""
+    return wa * wb + n < min(wa, wb) * (n // 64 + 1)
 
 
 class Gf2Series:
@@ -109,11 +118,12 @@ class Gf2Series:
         """Truncated product: coefficient k is the pair-sum parity below N."""
         self._check_same_length(other)
         n = self.n_terms
-        # dispatch on bit counts, so a dense operand's support is never built
+        # dispatch on bit counts, so a dense operand's support is never built:
+        # pair sums plus a bincount against shift-xors of N/64 words each
         wa, wb = self._bits.bit_count(), other._bits.bit_count()
         if not wa or not wb:
             return Gf2Series.zero(n)
-        if wa * wb <= SPARSE_THRESHOLD_FACTOR * n:
+        if _sparse_is_cheaper(wa, wb, n):
             return self._mul_sparse(self.support, other.support, n)
         return self._mul_comb(other)
 

@@ -15,10 +15,7 @@ quadruples the precision, and about log4 N levels suffice.
 A level pads the k known bits with zeros to m <= 4k terms and squares
 twice.  The second square reads only the low ceil(m/2) bits of the
 first, and those come from the low ceil(m/4) <= k bits of the padded
-series, so the padding never reaches the result.  The product with f_8
-calls the shift-xor comb directly: f_8 has O(sqrt m) terms against a
-dense P(q^4), and the public mul would send the middle levels to the
-slower sparse pair-sum path.
+series, so the padding never reaches the result.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ def _parity_bits(n_terms: int) -> int:
     p = Gf2Series.one(1)  # P to precision 1
     while p.n_terms < n_terms:
         m = min(4 * p.n_terms, n_terms)
-        p = Gf2Series(m, p.bits).square().square()._mul_comb(theta_series(8, m))
+        p = Gf2Series(m, p.bits).square().square().mul(theta_series(8, m))
     return p.bits
 
 

@@ -1,5 +1,9 @@
+from collections import Counter
+from math import isqrt
+
 import pytest
 
+from theta_parity import classify
 from theta_parity.classify import (ClassifyConfig, SPORADIC_TRIPLES, Triple,
                                    VERIFIED, REFUTED, brute_search,
                                    candidate_filter, egyptian_a,
@@ -8,6 +12,36 @@ from theta_parity.classify import (ClassifyConfig, SPORADIC_TRIPLES, Triple,
                                    verify_triple)
 from theta_parity.numth import is_square, vp
 from theta_parity.quadform import repcount
+from theta_parity.theta import theta_series
+
+
+def reference_brute_search(bound, n_terms=2000, a_cap=None):
+    """The brute search without memo or candidate cache, as an oracle:
+    every pair builds its support list and scans the roots y of a*k1 + 1
+    itself, and every candidate a builds f_a afresh."""
+    if a_cap is None:
+        a_cap = 4 * n_terms
+    series = {m: theta_series(m, n_terms) for m in range(1, bound + 1)}
+    found = []
+    for b in range(1, bound + 1):
+        for c in range(b, bound + 1):
+            prod = series[b].mul(series[c])
+            nonzero = [k for k in prod.support if k > 0]
+            if not nonzero:
+                continue
+            k1 = nonzero[0]
+            k2 = nonzero[1] if len(nonzero) > 1 else None
+            for y in range(2, isqrt(a_cap * k1 + 1) + 1):
+                r = y * y - 1
+                if r % k1 != 0:
+                    continue
+                a = r // k1
+                if k2 is not None and is_square(a * k2 + 1) is None:
+                    continue
+                if theta_series(a, n_terms) == prod:
+                    found.append(Triple(a, b, c))
+                    break
+    return sorted(found)
 
 
 def test_egyptian_a_examples():
@@ -123,9 +157,37 @@ def test_brute_search_results_satisfy_known_necessities():
             assert candidate_filter(t.b, t.c) is None
 
 
+# At n_terms 8 and 9 hundreds of pairs match some f_a by truncation
+# coincidence; those cases pin the first match in ascending a.
+@pytest.mark.parametrize("bound, n_terms, a_cap", [
+    (4, 100, None), (40, 2000, None), (60, 40, None), (100, 500, None),
+    (120, 3000, None), (30, 8, None), (50, 9, None), (30, 9, 1), (50, 9, 5)])
+def test_brute_search_matches_reference(bound, n_terms, a_cap):
+    assert (brute_search(bound, n_terms, a_cap)
+            == reference_brute_search(bound, n_terms, a_cap))
+
+
+def test_brute_search_builds_each_theta_series_once(monkeypatch):
+    calls = Counter()
+
+    def counting_theta_series(m, n_terms):
+        calls[m] += 1
+        return theta_series(m, n_terms)
+
+    monkeypatch.setattr(classify, "theta_series", counting_theta_series)
+    assert brute_search(40, 2000) == theorem_prediction(40)
+    assert set(range(1, 41)) <= set(calls)
+    assert max(calls.values()) == 1
+
+
 def test_brute_search_validation():
     with pytest.raises(ValueError):
         brute_search(3, 100)
+    with pytest.raises(ValueError):
+        brute_search(4, 7)
+    for a_cap in (0, -5):
+        with pytest.raises(ValueError, match="a_cap"):
+            brute_search(4, 100, a_cap)
 
 
 def test_triple_validation():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from theta_parity.gf2series import SPARSE_THRESHOLD_FACTOR, Gf2Series
+from theta_parity.gf2series import Gf2Series, _sparse_is_cheaper
+from theta_parity.theta import theta_series
 
 
 def naive_mul(support_a, support_b, n_terms):
@@ -147,12 +148,28 @@ def test_dense_operand_support_never_built(data):
     dense = Gf2Series(n, sum(1 << k for k in sa))
     assert dense.square() == Gf2Series.from_support(naive_mul(sa, sa, n), n)
     assert dense._support is None
-    if len(sa) * len(sb) > SPARSE_THRESHOLD_FACTOR * n:  # mul takes the comb
+    if not _sparse_is_cheaper(len(sa), len(sb), n):  # mul takes the comb
         assert dense.mul(sparse) == want
     else:
         assert dense._mul_comb(sparse) == want
     if len(sa) > len(sb):  # the comb walks the sparser operand's support
         assert dense._support is None
+
+
+def test_mul_dispatch_follows_operation_counts():
+    # short theta products: the comb's shift-xors undercut the pair sums
+    n = 2000
+    for b, c in ((1, 1), (6, 12), (24, 24), (100, 200), (200, 200)):
+        f, g = theta_series(b, n), theta_series(c, n)
+        prod = f.mul(g)
+        assert prod._support is None  # the comb result
+        assert prod == Gf2Series._mul_sparse(f.support, g.support, n)
+    # a long sporadic product: the pair sums undercut N-bit shift-xors
+    n = 10 ** 6
+    f, g = theta_series(8, n), theta_series(24, n)
+    prod = f.mul(g)
+    assert prod._support is not None  # the sparse result
+    assert prod == f._mul_comb(g)
 
 
 @settings(max_examples=150, deadline=None)

@@ -15,17 +15,16 @@ never "proven".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from functools import cache
+from math import gcd
 from typing import Optional
 
-from .numth import divisors, is_square, vp
+from .numth import divisors, egyptian_a, is_square, vp
 from .quadform import WeberCertificate, weber_reject
-from .theta import theta_series
+from .theta import theta_series, theta_support
 
 VERIFIED = "verified"
 REFUTED = "refuted"
-WEBER_REFUTED = "weber_refuted"
-FILTERED_OUT = "filtered_out"
 
 
 @dataclass(frozen=True, order=True)
@@ -72,7 +71,6 @@ class Certificate:
     n_terms: Optional[int] = None
     witness: Optional[int] = None
     weber: Optional[WeberCertificate] = None
-    reason: Optional[str] = None
 
 
 # The classification theorem's eight sporadic triples.
@@ -81,14 +79,6 @@ SPORADIC_TRIPLES = (
     Triple(15, 24, 40), Triple(16, 24, 48), Triple(20, 24, 120),
     Triple(21, 24, 168),
 )
-
-
-def egyptian_a(b: int, c: int) -> Optional[int]:
-    """The integer a with 1/a = 1/b + 1/c, or None."""
-    if b < 1 or c < 1:
-        raise ValueError("b and c must be positive")
-    a, rem = divmod(b * c, b + c)
-    return a if rem == 0 else None
 
 
 def candidate_filter(b: int, c: int) -> Optional[str]:
@@ -131,10 +121,10 @@ def verify_triple(a: int, b: int, c: int, n_terms: int) -> Certificate:
         raise ValueError("n_terms must be positive")
     if b > c:
         b, c = c, b
+    triple = Triple(a, b, c)
     fa = theta_series(a, n_terms)
     prod = theta_series(b, n_terms).mul(theta_series(c, n_terms))
     witness = fa.first_difference(prod)
-    triple = Triple(a, b, c)
     if witness is None:
         return Certificate(triple, VERIFIED, n_terms=n_terms)
     return Certificate(triple, REFUTED, n_terms=n_terms, witness=witness)
@@ -143,9 +133,9 @@ def verify_triple(a: int, b: int, c: int, n_terms: int) -> Certificate:
 def enumerate_candidates() -> list[Triple]:
     """All b' != c' triples passing candidate_filter; finite by construction.
 
-    Coprime (b', c') with b' < c' and (b'+c') | 24; d over the divisors
-    of 24(c'-b') that are multiples of (b'+c') and satisfy the valuation
-    bounds; a from the egyptian fraction.
+    Coprime (b', c') with b' < c' and (b'+c') | 24, and d over the
+    divisors of 24(c'-b'), generate every (b, c) the filter can accept;
+    a comes from the egyptian fraction.
     """
     out = []
     for s in (3, 4, 6, 8, 12, 24):
@@ -154,22 +144,18 @@ def enumerate_candidates() -> list[Triple]:
             if gcd(b_p, c_p) != 1:
                 continue
             for d in divisors(24 * (c_p - b_p)):
-                if d % s != 0:
-                    continue
-                if s % 2 == 0 and vp(d, 2) > 4:
-                    continue
-                if s % 3 == 0 and vp(d, 3) > 1:
-                    continue
                 b, c = d * b_p, d * c_p
-                a = egyptian_a(b, c)
-                assert a is not None  # (b'+c') | d makes the fraction exact
-                out.append(Triple(a, b, c))
+                if candidate_filter(b, c) is None:
+                    out.append(Triple(egyptian_a(b, c), b, c))
     return sorted(out)
 
 
 # Truncation of the cheap first comparison: witnesses live at tiny
 # indices, so most decoys never touch the full-length series.
 PREFILTER_TERMS = 4096
+# Ceiling on the rank of the representations each candidate's Weber
+# search considers (weber_reject's max_enumerated).
+WEBER_MAX_ENUMERATED = 300_000
 
 
 @dataclass(frozen=True)
@@ -177,7 +163,6 @@ class ClassifyConfig:
     """Knobs for run_classification; defaults match the desk-scale run."""
 
     weber_bound: int = 12
-    weber_max_enumerated: int = 300_000
     family_spot_max_d: int = 200
     family_spot_terms: int = 4096
 
@@ -226,7 +211,7 @@ def _decide_candidate(triple: Triple, n_terms: int,
     if cert.status == VERIFIED and pre < n_terms:
         cert = verify_triple(triple.a, triple.b, triple.c, n_terms)
     weber = weber_reject(triple.b, triple.c, config.weber_bound,
-                         max_enumerated=config.weber_max_enumerated)
+                         max_enumerated=WEBER_MAX_ENUMERATED)
     return Certificate(cert.triple, cert.status, n_terms=cert.n_terms,
                        witness=cert.witness, weber=weber)
 
@@ -293,46 +278,27 @@ def theorem_prediction(bound: int) -> list[Triple]:
     return sorted(out)
 
 
-def brute_search(bound: int, n_terms: int = 2000, a_cap: Optional[int] = None
-                 ) -> list[Triple]:
+def brute_search(bound: int, n_terms: int = 2000) -> list[Triple]:
     """All (b <= c <= bound) admitting some integer a with f_a = f_b*f_c
     below n_terms, found without using the necessary-condition filters.
 
     For each pair the product's two smallest nonzero support indices
     k1 < k2 pin the possible a: a*k1 + 1 and a*k2 + 1 must both be
-    squares.  Candidates up to a_cap (default 4*n_terms; any true match
-    has a < b, far below) are checked in ascending order by full series
-    equality, and the first match is kept.
+    squares.  Candidates up to 4*n_terms (any true match has a < b, far
+    below) are checked in ascending order by full series equality, and
+    the first match is kept.
 
-    Each piece of work is done once per call: f_m is built once per m,
-    the a with a*k1 + 1 square, a = (y^2-1)/k1, are listed once per k1,
-    and the candidates that also pass k2 once per (k1, k2).  Nothing is
-    kept between calls.
+    Three caches local to the call do each piece of work once: f_m per
+    m, the a with a*k1 + 1 square per k1, and those with a*k2 + 1 square
+    too per (k1, k2).  Nothing is kept between calls.
     """
     if bound < 4 or n_terms < 8:
         raise ValueError("need bound >= 4 and n_terms >= 8")
-    if a_cap is None:
-        a_cap = 4 * n_terms
-    if a_cap < 1:
-        raise ValueError(f"a_cap must be >= 1, got {a_cap}")
-    series = {}   # m -> f_m
-    by_k1 = {}    # k1 -> ascending a <= a_cap with a*k1 + 1 square
-    by_pair = {}  # (k1, k2) -> those a with a*k2 + 1 square too
-
-    def theta(m: int):
-        if m not in series:
-            series[m] = theta_series(m, n_terms)
-        return series[m]
-
-    def candidates(k1: int, k2: Optional[int]) -> list[int]:
-        if (k1, k2) not in by_pair:
-            if k1 not in by_k1:
-                by_k1[k1] = [(y * y - 1) // k1
-                             for y in range(2, isqrt(a_cap * k1 + 1) + 1)
-                             if (y * y - 1) % k1 == 0]
-            by_pair[k1, k2] = [a for a in by_k1[k1] if k2 is None
-                               or is_square(a * k2 + 1) is not None]
-        return by_pair[k1, k2]
+    a_cap = 4 * n_terms
+    theta = cache(lambda m: theta_series(m, n_terms))
+    roots = cache(lambda k1: theta_support(k1, a_cap + 1)[1:])  # drop a = 0
+    candidates = cache(lambda k1, k2: [
+        a for a in roots(k1) if k2 is None or is_square(a * k2 + 1) is not None])
 
     found = []
     for b in range(1, bound + 1):

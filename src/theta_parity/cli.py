@@ -121,8 +121,7 @@ def _cmd_lemma_sols(args):
     code = _EXIT_OK
     if args.u is not None or args.v is not None:
         if args.u is None or args.v is None:
-            print("lemma-sols: --u and --v must be given together", file=sys.stderr)
-            raise SystemExit(_EXIT_USAGE)
+            raise ValueError("--u and --v must be given together")
         ok = quadform.lemma34_check(args.bp, args.cp, args.u, args.v)
         rec["check"] = ok
         rec["status"] = "ok" if ok else "failed"
@@ -143,16 +142,14 @@ def _cmd_lemma_p(args):
 def _cmd_weber(args):
     if args.reject:
         if args.b is None or args.c is None:
-            print("weber: --reject needs --b and --c", file=sys.stderr)
-            raise SystemExit(_EXIT_USAGE)
+            raise ValueError("--reject needs --b and --c")
         cert = quadform.weber_reject(args.b, args.c, args.bound)
         if cert is None:
             return [_record(args, status="no_certificate")], _EXIT_OK
         return ([_record(args, status="weber_refuted", **_weber_dict(cert))],
                 _EXIT_CLAIM_FAILED)
     if args.d is None:
-        print("weber: either --reject --b --c or --d is required", file=sys.stderr)
-        raise SystemExit(_EXIT_USAGE)
+        raise ValueError("either --reject --b --c or --d is required")
     wp = quadform.find_weber_prime(args.d, args.s, args.t, args.m, args.bound)
     if wp is None:
         return [_record(args, status="not_found")], _EXIT_OK

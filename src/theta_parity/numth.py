@@ -45,6 +45,14 @@ def is_square(n: int) -> Optional[int]:
     return r if r * r == n else None
 
 
+def egyptian_a(b: int, c: int) -> Optional[int]:
+    """The integer a with 1/a = 1/b + 1/c, or None."""
+    if b < 1 or c < 1:
+        raise ValueError("b and c must be positive")
+    a, rem = divmod(b * c, b + c)
+    return a if rem == 0 else None
+
+
 def vp(n: int, p: int) -> int:
     """p-adic valuation: the largest e with p^e | n.  Rejects n = 0."""
     if n == 0:

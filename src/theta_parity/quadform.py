@@ -20,8 +20,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .numth import (ResidueClass, is_prime, is_square, jacobi,
-                    primes_in_class, squarefree_part, vp)
+from .numth import (ResidueClass, divisors, egyptian_a, is_prime, is_square,
+                    jacobi, primes_in_class, squarefree_part, vp)
 
 
 @dataclass(frozen=True)
@@ -133,22 +133,6 @@ def lemma34_check(b_p: int, c_p: int, u: int, v: int) -> bool:
     return found == predicted
 
 
-def _odd_prime_factors(n: int) -> list[int]:
-    out = []
-    d = 3
-    while n % 2 == 0:
-        n //= 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def lemma32_residue(u: int, v: int, strict: bool = False) -> ResidueClass:
     """Smallest residue q mod Q = lcm(8, u, v), coprime to Q, such that
     every prime p = q (mod Q) has u | p^2 - 1 and (-v/p) = -1.
@@ -166,7 +150,7 @@ def lemma32_residue(u: int, v: int, strict: bool = False) -> ResidueClass:
     if strict:
         if u % 8 != 0:
             raise ValueError("strict mode needs 8 | u")
-        if not any(q % 4 == 3 for q in _odd_prime_factors(v)):
+        if not any(q % 4 == 3 and is_prime(q) for q in divisors(v)):
             raise ValueError("strict mode needs a prime divisor of v that is 3 mod 4")
     Q = lcm(8, u, v)
     v2Q = vp(Q, 2)
@@ -303,8 +287,8 @@ def weber_reject(b: int, c: int, bound: int, *,
     """
     if b < 1 or c < 1 or bound < 1:
         raise ValueError("b, c, bound must be positive")
-    a, rem = divmod(b * c, b + c)
-    if rem:
+    a = egyptian_a(b, c)
+    if a is None:
         raise ValueError(f"(b, c) = ({b}, {c}) admits no integer a with 1/a = 1/b + 1/c")
     d = gcd(b, c)
     b_p, c_p = b // d, c // d

@@ -99,9 +99,19 @@ def test_enumerate_candidates_contents():
     assert len(cands) == len(set(cands))
 
 
+def test_candidate_filter_accepts_exactly_the_enumerated_pairs():
+    # every b <= c <= 1000 with b' != c' (that is, b != c) that passes
+    # the filter is enumerated, and every enumerated pair in range passes
+    enumerated = {(t.b, t.c) for t in enumerate_candidates() if t.c <= 1000}
+    accepted = {(b, c) for b in range(1, 1001) for c in range(b + 1, 1001)
+                if candidate_filter(b, c) is None}
+    assert accepted == enumerated
+    assert len(enumerated) == 37
+
+
 def test_run_classification_small_scale():
-    config = ClassifyConfig(weber_bound=6, weber_max_enumerated=50_000,
-                            family_spot_max_d=60, family_spot_terms=2048)
+    config = ClassifyConfig(weber_bound=6, family_spot_max_d=60,
+                            family_spot_terms=2048)
     report = run_classification(20000, config)
     assert report.ok, report.mismatches
     assert sorted(c.triple for c in report.verified) == sorted(SPORADIC_TRIPLES)
@@ -120,8 +130,8 @@ def test_run_classification_small_scale():
     assert all(vp(t.d, 2) == 4 for t in report.weak_bound_admits)
 
 
-@pytest.mark.parametrize("field", ["weber_bound", "weber_max_enumerated",
-                                   "family_spot_max_d", "family_spot_terms"])
+@pytest.mark.parametrize("field", ["weber_bound", "family_spot_max_d",
+                                   "family_spot_terms"])
 def test_classify_config_rejects_non_positive_fields(field):
     assert getattr(ClassifyConfig(**{field: 1}), field) == 1
     for value in (0, -3):
@@ -158,12 +168,14 @@ def test_brute_search_results_satisfy_known_necessities():
 
 
 # At n_terms 8 and 9 hundreds of pairs match some f_a by truncation
-# coincidence; those cases pin the first match in ascending a.
+# coincidence; those cases pin the first match in ascending a.  The
+# oracle's a_cap stays None, its default 4*n_terms, which is the cap
+# brute_search always uses.
 @pytest.mark.parametrize("bound, n_terms, a_cap", [
     (4, 100, None), (40, 2000, None), (60, 40, None), (100, 500, None),
-    (120, 3000, None), (30, 8, None), (50, 9, None), (30, 9, 1), (50, 9, 5)])
+    (120, 3000, None), (30, 8, None), (50, 9, None)])
 def test_brute_search_matches_reference(bound, n_terms, a_cap):
-    assert (brute_search(bound, n_terms, a_cap)
+    assert (brute_search(bound, n_terms)
             == reference_brute_search(bound, n_terms, a_cap))
 
 
@@ -185,9 +197,6 @@ def test_brute_search_validation():
         brute_search(3, 100)
     with pytest.raises(ValueError):
         brute_search(4, 7)
-    for a_cap in (0, -5):
-        with pytest.raises(ValueError, match="a_cap"):
-            brute_search(4, 100, a_cap)
 
 
 def test_triple_validation():

@@ -162,16 +162,21 @@ def test_usage_error_exit_code():
     assert result.returncode == 2
 
 
-# what each rejected command line below must name in its message
-_REJECTED = {"weber": "(5, 7)", "series": "m and n_terms",
-             "classify": "weber_bound"}
+# each rejected command line and what its message must name
+_REJECTED = {
+    ("weber", "--reject", "--b", "5", "--c", "7", "--bound", "3"): "(5, 7)",
+    ("series", "--m", "0", "--terms", "5"): "m and n_terms",
+    ("classify", "--terms", "2000", "--weber-bound", "0"): "weber_bound",
+    ("verify", "--a", "0", "--b", "6", "--c", "12", "--terms", "10"):
+        "a, b, c must be positive",
+    ("weber", "--reject", "--b", "6", "--bound", "3"): "--reject needs --b and --c",
+    ("weber", "--bound", "3"): "either --reject --b --c or --d",
+    ("lemma-sols", "--bp", "1", "--cp", "2", "--target", "33", "--u", "3"):
+        "--u and --v must be given together",
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["weber", "--reject", "--b", "5", "--c", "7", "--bound", "3"],
-    ["series", "--m", "0", "--terms", "5"],
-    ["classify", "--terms", "2000", "--weber-bound", "0"],
-])
+@pytest.mark.parametrize("argv", [list(argv) for argv in _REJECTED])
 def test_rejected_arguments_exit_as_usage_errors(capsys, argv):
     # exit 1 means a refuted claim; an argument the command rejects is a
     # usage error: one stderr line naming it, nothing on stdout
@@ -180,7 +185,7 @@ def test_rejected_arguments_exit_as_usage_errors(capsys, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(argv[0] + ": ")
-    assert _REJECTED[argv[0]] in captured.err
+    assert _REJECTED[tuple(argv)] in captured.err
 
 
 @pytest.mark.parametrize("argv", [

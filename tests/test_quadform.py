@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from theta_parity import quadform
-from theta_parity.classify import ClassifyConfig, enumerate_candidates
+from theta_parity.classify import (WEBER_MAX_ENUMERATED, ClassifyConfig,
+                                   enumerate_candidates)
 from theta_parity.numth import is_prime, is_square, jacobi, primes_in_class, vp
 from theta_parity.quadform import (SolutionPair, WeberCertificate, WeberPrime,
                                    _congruent_representations, _isqrt_array,
@@ -352,7 +353,7 @@ def test_weber_reject_default_config_certificates():
     got = {}
     for t in enumerate_candidates():
         cert = weber_reject(t.b, t.c, config.weber_bound,
-                            max_enumerated=config.weber_max_enumerated)
+                            max_enumerated=WEBER_MAX_ENUMERATED)
         if cert is not None:
             got[t.as_tuple()] = (cert.prime.p, cert.prime.u, cert.prime.v,
                                  cert.index)
@@ -367,5 +368,5 @@ def test_weber_reject_default_config_certificates():
     for a, b, c in ((506, 528, 12144), (1190, 1680, 4080), (1330, 1680, 6384)):
         d = gcd(b, c)
         stream = _congruent_representations(
-            (b // d) * (c // d), lcm(a, b, c), config.weber_max_enumerated)
+            (b // d) * (c // d), lcm(a, b, c), WEBER_MAX_ENUMERATED)
         assert sum(is_prime(p) for p, _, _ in stream) < config.weber_bound

@@ -14,7 +14,7 @@ never "proven".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from math import gcd
 from typing import Optional
@@ -67,10 +67,13 @@ class Certificate:
     """
 
     triple: Triple
-    status: str
-    n_terms: Optional[int] = None
+    n_terms: int
     witness: Optional[int] = None
     weber: Optional[WeberCertificate] = None
+
+    @property
+    def status(self) -> str:
+        return VERIFIED if self.witness is None else REFUTED
 
 
 # The classification theorem's eight sporadic triples.
@@ -124,10 +127,7 @@ def verify_triple(a: int, b: int, c: int, n_terms: int) -> Certificate:
     triple = Triple(a, b, c)
     fa = theta_series(a, n_terms)
     prod = theta_series(b, n_terms).mul(theta_series(c, n_terms))
-    witness = fa.first_difference(prod)
-    if witness is None:
-        return Certificate(triple, VERIFIED, n_terms=n_terms)
-    return Certificate(triple, REFUTED, n_terms=n_terms, witness=witness)
+    return Certificate(triple, n_terms, fa.first_difference(prod))
 
 
 def enumerate_candidates() -> list[Triple]:
@@ -174,13 +174,10 @@ class ClassifyConfig:
 
 @dataclass(frozen=True)
 class FamilyCheck:
-    d: int
-    criterion: bool
-    certificate: Certificate
+    """Whether the series check of (d/2, d, d) agrees with family_criterion."""
 
-    @property
-    def consistent(self) -> bool:
-        return (self.certificate.status == VERIFIED) == self.criterion
+    d: int
+    consistent: bool
 
 
 @dataclass
@@ -210,10 +207,9 @@ def _decide_candidate(triple: Triple, n_terms: int,
     cert = verify_triple(triple.a, triple.b, triple.c, pre)
     if cert.status == VERIFIED and pre < n_terms:
         cert = verify_triple(triple.a, triple.b, triple.c, n_terms)
-    weber = weber_reject(triple.b, triple.c, config.weber_bound,
-                         max_enumerated=WEBER_MAX_ENUMERATED)
-    return Certificate(cert.triple, cert.status, n_terms=cert.n_terms,
-                       witness=cert.witness, weber=weber)
+    return replace(cert, weber=weber_reject(
+        triple.b, triple.c, config.weber_bound,
+        max_enumerated=WEBER_MAX_ENUMERATED))
 
 
 def run_classification(n_terms: int = 10 ** 6,
@@ -240,17 +236,14 @@ def run_classification(n_terms: int = 10 ** 6,
     for t in sorted(expected - verified):
         mismatches.append(f"sporadic triple {t.as_tuple()} not verified")
     for c in certs:
-        if c.status == REFUTED and c.witness is None:
-            mismatches.append(f"refuted {c.triple.as_tuple()} without witness")
         if c.status == VERIFIED and c.weber is not None:
             mismatches.append(
                 f"verified {c.triple.as_tuple()} has a Weber refutation")
 
     family_checks = []
     for d in range(2, config.family_spot_max_d + 1, 2):
-        check = FamilyCheck(d, family_criterion(d),
-                            verify_triple(d // 2, d, d,
-                                          min(config.family_spot_terms, n_terms)))
+        cert = verify_triple(d // 2, d, d, min(config.family_spot_terms, n_terms))
+        check = FamilyCheck(d, (cert.status == VERIFIED) == family_criterion(d))
         family_checks.append(check)
         if not check.consistent:
             mismatches.append(
@@ -267,14 +260,8 @@ def run_classification(n_terms: int = 10 ** 6,
 def theorem_prediction(bound: int) -> list[Triple]:
     """The classification theorem's triples restricted to c <= bound."""
     out = [t for t in SPORADIC_TRIPLES if t.c <= bound]
-    q = 1
-    while 4 * q <= bound:
-        out.append(Triple(2 * q, 4 * q, 4 * q))
-        q += 2
-    q = 1
-    while 8 * q <= bound:
-        out.append(Triple(4 * q, 8 * q, 8 * q))
-        q += 2
+    out += [Triple(d // 2, d, d) for d in range(4, bound + 1, 4)
+            if family_criterion(d)]
     return sorted(out)
 
 

@@ -63,8 +63,7 @@ def _weber_dict(cert: quadform.WeberCertificate) -> dict:
 
 
 def _certificate_dict(cert: classify.Certificate) -> dict:
-    out = {"triple": list(cert.triple.as_tuple()), "status": cert.status,
-           "terms": cert.n_terms}
+    out = {"status": cert.status, "terms": cert.n_terms}
     if cert.witness is not None:
         out["witness"] = cert.witness
     if cert.weber is not None:
@@ -158,11 +157,8 @@ def _cmd_weber(args):
 
 def _cmd_verify(args):
     cert = classify.verify_triple(args.a, args.b, args.c, args.terms)
-    rec = _record(args, status=cert.status, terms=cert.n_terms)
-    if cert.witness is not None:
-        rec["witness"] = cert.witness
     code = _EXIT_OK if cert.status == classify.VERIFIED else _EXIT_CLAIM_FAILED
-    return [rec], code
+    return [_record(args, **_certificate_dict(cert))], code
 
 
 def _cmd_classify(args):
@@ -172,7 +168,8 @@ def _cmd_classify(args):
         family_spot_terms=args.family_terms,
     )
     report = classify.run_classification(args.terms, config)
-    records = [_record(args, kind="candidate", **_certificate_dict(c))
+    records = [_record(args, kind="candidate", triple=list(c.triple.as_tuple()),
+                       **_certificate_dict(c))
                for c in report.certificates]
     records.append(_record(
         args, kind="family", rule="v2(d) in {2, 3}",
@@ -269,9 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", _cmd_classify, help="reproduce the classification theorem")
     p.add_argument("--terms", type=int, default=10 ** 6)
-    p.add_argument("--weber-bound", type=int, default=12)
-    p.add_argument("--family-d", type=int, default=200)
-    p.add_argument("--family-terms", type=int, default=4096)
+    defaults = classify.ClassifyConfig
+    p.add_argument("--weber-bound", type=int, default=defaults.weber_bound)
+    p.add_argument("--family-d", type=int, default=defaults.family_spot_max_d)
+    p.add_argument("--family-terms", type=int, default=defaults.family_spot_terms)
 
     p = add("brute", _cmd_brute, help="exhaustive search over b <= c <= bound")
     p.add_argument("--bound", type=int, required=True)

@@ -181,19 +181,12 @@ def find_weber_prime(D: int, s: int, t: int, M: int,
     if D < 1 or M < 1 or bound < 1:
         raise ValueError("D, M, bound must be positive")
     best = None
-    for u in range(1, bound + 1):
-        if u % M != s % M:
-            continue
-        for v in range(1, bound + 1):
-            if v % M != t % M:
-                continue
+    for u in range((s - 1) % M + 1, bound + 1, M):
+        for v in range((t - 1) % M + 1, bound + 1, M):  # p rises with v
             p = u * u + D * v * v
-            if best is not None and p >= best[0] and (p, u) >= best[:2]:
-                continue
             if is_prime(p):
-                cand = (p, u, v)
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
+                best = min(best, (p, u, v)) if best else (p, u, v)
+                break
     if best is None:
         return None
     return WeberPrime(best[0], best[1], best[2], D)
@@ -241,8 +234,12 @@ def _congruent_representations(D: int, L: int,
     width while its lattice count exceeds _ANNULUS_POINTS.  Halving,
     unlike a cut in proportion to the count, also crosses the empty gap
     below 1 + D in few steps when D is large.
+
+    _row_bounds builds a row for every v <= sqrt(hi/D), so the first hi
+    is capped at D * _ANNULUS_POINTS**2: memory stays bounded however
+    large L or `limit` is.
     """
-    lo, below, hi = 0, 0, max(64, 4 * L)
+    lo, below, hi = 0, 0, max(64, min(4 * L, D * _ANNULUS_POINTS ** 2))
     while below < limit:
         v, u_lo, counts = _row_bounds(D, lo, hi)
         while counts.sum() > _ANNULUS_POINTS and hi - lo > 1:

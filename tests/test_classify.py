@@ -74,6 +74,11 @@ def test_verify_triple_examples():
     cert = verify_triple(18, 24, 72, 100)
     assert cert.status == REFUTED and cert.witness == 1
     assert verify_triple(2, 4, 4, 20000).status == VERIFIED
+    # the status is read off the witness, in both directions
+    for a, b, c in ((4, 6, 12), (18, 24, 72), (8, 16, 16), (3, 4, 12)):
+        cert = verify_triple(a, b, c, 500)
+        assert (cert.status == VERIFIED) == (cert.witness is None)
+        assert (cert.status == REFUTED) == (cert.witness is not None)
 
 
 def test_verify_triple_witness_is_first_disagreement():
@@ -142,6 +147,11 @@ def test_classify_config_rejects_non_positive_fields(field):
 def test_theorem_prediction_small():
     assert [t.as_tuple() for t in theorem_prediction(12)] == \
         [(2, 4, 4), (4, 6, 12), (4, 8, 8), (6, 12, 12)]
+    for bound in range(1, 301):
+        families = [Triple(m * q, 2 * m * q, 2 * m * q)
+                    for m in (2, 4) for q in range(1, bound // (2 * m) + 1, 2)]
+        sporadic = [t for t in SPORADIC_TRIPLES if t.c <= bound]
+        assert theorem_prediction(bound) == sorted(families + sporadic), bound
 
 
 def test_brute_search_example_bound_40():

@@ -1,5 +1,6 @@
 import heapq
 import random
+import tracemalloc
 from itertools import islice
 from math import gcd, isqrt, lcm
 
@@ -197,6 +198,18 @@ def test_find_weber_prime_examples():
     assert (wp.p, wp.u, wp.v) == (7, 1, 1)
     wp = find_weber_prime(3, 5, 4, 18, 100)
     assert (wp.p, wp.u, wp.v) == (73, 5, 4)
+    # random boxes, negative residues included, against a plain min
+    rng = random.Random(17)
+    for _ in range(300):
+        D, M = rng.randrange(1, 60), rng.randrange(1, 12)
+        s, t = rng.randrange(-30, 30), rng.randrange(-30, 30)
+        bound = rng.randrange(1, 40)
+        box = [(u * u + D * v * v, u, v)
+               for u in range(1, bound + 1) for v in range(1, bound + 1)
+               if (u - s) % M == 0 and (v - t) % M == 0]
+        want = min((x for x in box if is_prime(x[0])), default=None)
+        wp = find_weber_prime(D, s, t, M, bound)
+        assert (None if wp is None else (wp.p, wp.u, wp.v)) == want, (D, s, t, M, bound)
 
 
 def test_find_weber_prime_empty_region():
@@ -219,6 +232,17 @@ def test_weber_reject_certificate_for_failing_pair():
 def test_weber_reject_empty_on_true_identities():
     assert weber_reject(6, 12, 100) is None    # (4,6,12) is an identity
     assert weber_reject(8, 8, 100) is None     # family triple (4,8,8)
+
+
+def test_weber_reject_memory_bounded_for_large_modulus():
+    # L = 2^40: an uncapped first annulus would hold a row per v <= 2^21
+    tracemalloc.start()
+    try:
+        assert weber_reject(2 ** 40, 2 ** 40, 1) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
 
 
 def test_weber_reject_validation():

@@ -27,6 +27,11 @@ VERIFIED = "verified"
 REFUTED = "refuted"
 
 
+def witness_status(witness: Optional[int]) -> str:
+    """A checked claim's status: VERIFIED without a witness, else REFUTED."""
+    return VERIFIED if witness is None else REFUTED
+
+
 @dataclass(frozen=True, order=True)
 class Triple:
     """A triple (a, b, c) with b <= c; d = gcd(b,c), b' = b/d, c' = c/d."""
@@ -73,7 +78,7 @@ class Certificate:
 
     @property
     def status(self) -> str:
-        return VERIFIED if self.witness is None else REFUTED
+        return witness_status(self.witness)
 
 
 # The classification theorem's eight sporadic triples.

@@ -86,8 +86,7 @@ def _cmd_euler_jacobi(args):
     records, code = [], _EXIT_OK
     for a in exponents:
         witness = theta.euler_jacobi_check(a, args.terms)
-        rec = _record(args, a=a,
-                      status="verified" if witness is None else "refuted",
+        rec = _record(args, a=a, status=classify.witness_status(witness),
                       witness=witness)
         records.append(rec)
         if witness is not None:
@@ -104,8 +103,7 @@ def _cmd_partition(args):
 
 def _cmd_bm(args):
     witness = partition.bm_first_failure(args.a, args.b, args.max)
-    status = "verified" if witness is None else "refuted"
-    rec = _record(args, status=status, witness=witness)
+    rec = _record(args, status=classify.witness_status(witness), witness=witness)
     return [rec], _EXIT_OK if witness is None else _EXIT_CLAIM_FAILED
 
 

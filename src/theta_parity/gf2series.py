@@ -5,22 +5,22 @@ little-endian into a single Python int (bit k = coefficient of q^k).
 The support (sorted list of exponents with coefficient 1) is derived
 lazily and cached.
 
-Multiplication dispatches between two paths:
+Multiplication has two kernels, both a shift-xor comb over the support
+of the sparser operand: each of its terms s adds the denser operand
+shifted by s.  So both cost one pass over about N/64 machine words per
+term, and mul() chooses between them by N alone:
 
-  * sparse x sparse: toggle the parity of every pair sum i+j < N
-    (vectorized as an outer sum + bincount).  It costs wa*wb pair sums
-    plus an N-length bincount, for operands with wa and wb terms.
-  * shift-xor comb: acc ^= dense_bits << i over the sparser operand's
-    support.  It costs min(wa, wb) shifts and xors of an N-bit int, about
-    N/64 machine words each.
+  * below _WORDS_MIN_TERMS, a Python-int comb: acc ^= dense_bits << s.
+    Its per-term overhead is the lowest, which suits the many short
+    products of brute_search and the prefilter.
+  * at or above it, a numpy uint64 word comb: the denser operand is
+    shifted by each residue s mod 64 once, then xored in place into the
+    output at word offset s >> 6.  It allocates no N-bit int per term,
+    so long products (theta products and P*f_a at 10^6 and beyond) take
+    it, and its memory is a few N-bit word arrays.
 
-mul() counts both costs from the operands' bit counts and runs the
-cheaper path.  Long theta products (f_8*f_24 at N = 10^6) go sparse;
-short ones (N of a few thousand) and products with a dense operand, such
-as the partition parity series, go to the comb.
-
-Both are truncation-first: no coefficient at or beyond n_terms is ever
-reported, and all identity claims are "below N" claims.
+Both kernels are truncation-first: no coefficient at or beyond n_terms
+is ever reported, and all identity claims are "below N" claims.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ _BYTES = np.arange(256, dtype=np.uint16)
 _SPREAD = sum(((_BYTES >> i) & 1) << (2 * i) for i in range(8)).astype("<u2")
 
 
-def _sparse_is_cheaper(wa: int, wb: int, n: int) -> bool:
-    """True when the pair-sum path should multiply operands with wa and wb
-    terms below n: its wa*wb pair sums plus an n-length bincount cost less
-    than the comb's min(wa, wb) shift-xors of n//64 + 1 words each."""
-    return wa * wb + n < min(wa, wb) * (n // 64 + 1)
+# mul() switches from the Python-int comb to the numpy word comb at this
+# many terms.  Both cost one pass per term of the sparser operand, so the
+# crossover depends on N only: on P*f_6, P(q^4)*f_8, f_8*f_24 and
+# f_100*f_200 (2 cores, numpy 2.4.6) the Python-int comb was about 2x
+# faster at 2^15 terms, about 2x slower at 2^17, and even at 2^16.
+_WORDS_MIN_TERMS = 1 << 16
 
 
 class Gf2Series:
@@ -117,38 +118,48 @@ class Gf2Series:
     def mul(self, other: "Gf2Series") -> "Gf2Series":
         """Truncated product: coefficient k is the pair-sum parity below N."""
         self._check_same_length(other)
-        n = self.n_terms
-        # dispatch on bit counts, so a dense operand's support is never built:
-        # pair sums plus a bincount against shift-xors of N/64 words each
-        wa, wb = self._bits.bit_count(), other._bits.bit_count()
-        if not wa or not wb:
-            return Gf2Series.zero(n)
-        if _sparse_is_cheaper(wa, wb, n):
-            return self._mul_sparse(self.support, other.support, n)
-        return self._mul_comb(other)
+        if self.n_terms < _WORDS_MIN_TERMS:
+            return self._mul_comb(other)
+        return self._mul_words(other)
 
-    @staticmethod
-    def _mul_sparse(sa, sb, n) -> "Gf2Series":
-        sums = np.add.outer(np.asarray(sa, dtype=np.int64),
-                            np.asarray(sb, dtype=np.int64)).ravel()
-        sums = sums[sums < n]
-        counts = np.bincount(sums, minlength=n)[:n]
-        arr = (counts & 1).astype(np.uint8)
-        bits = int.from_bytes(np.packbits(arr, bitorder="little").tobytes(),
-                              "little")
-        return Gf2Series(n, bits, tuple(np.flatnonzero(arr).tolist()))
+    def _sparser_first(self, other: "Gf2Series") -> tuple:
+        # the combs walk the sparser operand's support, so a dense
+        # operand's support is never built
+        if self._bits.bit_count() <= other._bits.bit_count():
+            return self, other
+        return other, self
 
     def _mul_comb(self, other: "Gf2Series") -> "Gf2Series":
-        # comb over the sparser operand, shifting the denser bit vector
         n = self.n_terms
-        f, g = ((self, other) if self._bits.bit_count() <= other._bits.bit_count()
-                else (other, self))
+        f, g = self._sparser_first(other)
         acc = 0
         gb = g._bits
         for i in f.support:
             acc ^= gb << i
         acc &= (1 << n) - 1
         return Gf2Series(n, acc)
+
+    def _mul_words(self, other: "Gf2Series") -> "Gf2Series":
+        n = self.n_terms
+        f, g = self._sparser_first(other)
+        n_words = (n + 63) >> 6
+        words = np.frombuffer(g._bits.to_bytes(8 * n_words, "little"), dtype="<u8")
+        out = np.zeros(n_words, dtype="<u8")
+        shifted = np.empty_like(words)
+        exps = np.asarray(f.support, dtype=np.int64)
+        residues = exps & 63
+        for r in np.flatnonzero(np.bincount(residues, minlength=64)).tolist():
+            if r == 0:  # a shift by 64 is not portable
+                g_r = words
+            else:  # words shifted left by r bits, carrying across words
+                g_r = shifted
+                np.left_shift(words, r, out=g_r)
+                g_r[1:] |= words[:-1] >> (64 - r)
+            for w in (exps[residues == r] >> 6).tolist():
+                np.bitwise_xor(out[w:], g_r[:n_words - w], out=out[w:])
+        if n & 63:  # clear the bits at and above n
+            out[-1] &= (1 << (n & 63)) - 1
+        return Gf2Series(n, int.from_bytes(out.tobytes(), "little"))
 
     def square(self) -> "Gf2Series":
         """Frobenius: coefficient at 2k equals this series' coefficient at k.

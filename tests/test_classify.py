@@ -79,6 +79,9 @@ def test_verify_triple_examples():
         cert = verify_triple(a, b, c, 500)
         assert (cert.status == VERIFIED) == (cert.witness is None)
         assert (cert.status == REFUTED) == (cert.witness is not None)
+    # witness 0 (a refutation at q^0) is a witness, not a missing one
+    assert classify.witness_status(None) == VERIFIED
+    assert classify.witness_status(0) == REFUTED
 
 
 def test_verify_triple_witness_is_first_disagreement():

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from theta_parity.gf2series import Gf2Series, _sparse_is_cheaper
+from theta_parity import classify
+from theta_parity.gf2series import Gf2Series, _WORDS_MIN_TERMS
+from theta_parity.partition import bm_first_failure, partition_parity
 from theta_parity.theta import theta_series
 
 
@@ -119,7 +122,7 @@ def test_kernels_match_naive_convolution_at_dense_inputs(data):
     want = Gf2Series.from_support(naive_mul(sa, sb, n), n)
     want_square = Gf2Series.from_support(naive_mul(sa, sa, n), n)
     # both kernels directly, whichever one mul() would pick
-    for got, expected in ((Gf2Series._mul_sparse(sa, sb, n), want),
+    for got, expected in ((f._mul_words(g), want),
                           (f._mul_comb(g), want), (f.mul(g), want),
                           (f.square(), want_square)):
         assert got == expected
@@ -148,28 +151,93 @@ def test_dense_operand_support_never_built(data):
     dense = Gf2Series(n, sum(1 << k for k in sa))
     assert dense.square() == Gf2Series.from_support(naive_mul(sa, sa, n), n)
     assert dense._support is None
-    if not _sparse_is_cheaper(len(sa), len(sb), n):  # mul takes the comb
-        assert dense.mul(sparse) == want
-    else:
-        assert dense._mul_comb(sparse) == want
-    if len(sa) > len(sb):  # the comb walks the sparser operand's support
+    for kernel in (dense.mul, dense._mul_comb, dense._mul_words):
+        assert kernel(sparse) == want
+    if len(sa) > len(sb):  # the combs walk the sparser operand's support
         assert dense._support is None
 
 
-def test_mul_dispatch_follows_operation_counts():
-    # short theta products: the comb's shift-xors undercut the pair sums
-    n = 2000
-    for b, c in ((1, 1), (6, 12), (24, 24), (100, 200), (200, 200)):
-        f, g = theta_series(b, n), theta_series(c, n)
-        prod = f.mul(g)
-        assert prod._support is None  # the comb result
-        assert prod == Gf2Series._mul_sparse(f.support, g.support, n)
-    # a long sporadic product: the pair sums undercut N-bit shift-xors
+@st.composite
+def word_comb_inputs(draw, max_n=300):
+    """(n, support_a, support_b) with supports of at most 24 terms, so n
+    ranges over single, partial and whole 64-bit words."""
+    n = draw(st.integers(1, max_n))
+    index = st.integers(0, n - 1)
+    return (n, sorted(draw(st.sets(index, max_size=24))),
+            sorted(draw(st.sets(index, max_size=24))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_comb_inputs())
+@example((1, [0], [0]))
+@example((63, [0, 62], [1, 5, 62]))
+@example((64, [63], list(range(64))))
+@example((100, [0, 64], [3, 35, 99]))        # residue 0 into the last word
+@example((191, [63, 127], [0, 1, 63, 64]))   # residue 63 into the last word
+@example((192, [0, 63, 128, 191], list(range(0, 192, 5))))
+def test_word_comb_matches_naive_convolution(data):
+    n, sa, sb = data
+    f = Gf2Series.from_support(sa, n)
+    g = Gf2Series.from_support(sb, n)
+    got = f._mul_words(g)
+    assert got == Gf2Series.from_support(naive_mul(sa, sb, n), n)
+    assert got == g._mul_words(f)
+
+
+@pytest.mark.parametrize("n", [_WORDS_MIN_TERMS - 1, _WORDS_MIN_TERMS,
+                               _WORDS_MIN_TERMS + 1, 10 ** 6])
+def test_word_comb_matches_int_comb_on_long_products(n):
+    for f, g in ((theta_series(8, n), theta_series(24, n)),
+                 (partition_parity(n), theta_series(6, n))):
+        assert f._mul_words(g) == f._mul_comb(g)
+
+
+def test_mul_kernel_follows_n_terms(monkeypatch):
+    calls = []
+
+    def spy(name):
+        kernel = getattr(Gf2Series, name)
+
+        def wrapped(self, other):
+            calls.append((name, self.n_terms))
+            return kernel(self, other)
+        return wrapped
+
+    for name in ("_mul_comb", "_mul_words"):
+        monkeypatch.setattr(Gf2Series, name, spy(name))
+
+    def kernels(run):
+        calls.clear()
+        run()
+        return set(calls)
+
+    # brute's short products and the prefilter take the Python-int comb
+    assert kernels(lambda: classify.brute_search(24, 2000)) == {("_mul_comb", 2000)}
+    assert kernels(lambda: classify.verify_triple(
+        4, 6, 12, classify.PREFILTER_TERMS)) == {("_mul_comb", 4096)}
+    # the switch is at _WORDS_MIN_TERMS terms
+    for n, name in ((_WORDS_MIN_TERMS - 1, "_mul_comb"),
+                    (_WORDS_MIN_TERMS, "_mul_words")):
+        assert kernels(lambda: theta_series(1, n).mul(theta_series(2, n))) == {(name, n)}
+    # long theta products and P*f_a take the word comb
     n = 10 ** 6
-    f, g = theta_series(8, n), theta_series(24, n)
-    prod = f.mul(g)
-    assert prod._support is not None  # the sparse result
-    assert prod == f._mul_comb(g)
+    assert kernels(lambda: theta_series(8, n).mul(theta_series(24, n))) == {
+        ("_mul_words", n)}
+    bm = kernels(lambda: bm_first_failure(6, 8, 300_000))
+    assert ("_mul_words", 300_001) in bm and ("_mul_comb", 300_001) not in bm
+
+
+def test_long_product_memory_stays_linear():
+    # the word comb holds a few n-bit arrays, not one int64 per pair sum
+    n = 10 ** 6
+    f, g = theta_series(6, n), theta_series(12, n)
+    tracemalloc.start()
+    try:
+        f.mul(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n // 8
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,13 +4,14 @@ north-star figures, for one or more checkouts, written to BENCH_<label>.json.
 
 Usage:
     python scripts/bench_snapshot.py --label 10 \
-        [--checkout change=. --checkout parent=../parent] \
-        [--pairs 10] [--seconds 30] [--first-seed 1]
+        [--checkout change=. --checkout parent=../parent]
 
 Each checkout must be a full copy of the repository (a `git clone` of the
-commit to measure). For each workload, `--pairs` rounds run
-`perfbench/run.py` once in every checkout, with the same seed and
-`--seconds`; the order of the checkouts alternates from round to round.
+commit to measure). For each workload, one round per seed in SEEDS runs
+`perfbench/run.py` once in every checkout, with that seed and the run
+length `run_seconds` of BENCHMARK.json; the order of the checkouts
+alternates from round to round, so ten seeds give the ten alternating
+pairs a claimed gain is judged on.
 The snapshot records, per checkout and workload, each end-to-end metric's
 median, quartiles and samples, and the failed share of checked outputs.
 With two or more checkouts it also counts the rounds in which the first
@@ -33,6 +34,9 @@ from pathlib import Path
 
 WORKLOADS = ("classify", "brute", "parity")
 METRICS = ("solve_s", "peak_mem_mb", "setup_s")
+SEEDS = range(1, 11)
+SECONDS = json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 
 NORTH_STAR = {
     "partition_parity(10^7)":
@@ -96,12 +100,7 @@ def main() -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--checkout", action="append", metavar="NAME=DIR",
                         help="a checkout to measure (default: change=.)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args()
-    if args.pairs < 2 or args.seconds <= 0:
-        parser.error("need --pairs >= 2 and --seconds > 0")
     checkouts = {}
     for spec in args.checkout or ["change=."]:
         name, sep, path = spec.partition("=")
@@ -113,11 +112,10 @@ def main() -> int:
     runs = {name: {w: [] for w in WORKLOADS} for name in names}
     machine = None
     for workload in WORKLOADS:
-        for i in range(args.pairs):
-            seed = args.first_seed + i
+        for i, seed in enumerate(SEEDS):
             order = names if i % 2 == 0 else names[::-1]
             for name in order:
-                rec = bench_run(checkouts[name], workload, seed, args.seconds)
+                rec = bench_run(checkouts[name], workload, seed, SECONDS)
                 machine = machine or rec["machine"]
                 del rec["machine"]
                 runs[name][workload].append(rec)
@@ -129,8 +127,8 @@ def main() -> int:
         "label": args.label,
         "machine": {k: machine[k] for k in ("nproc", "cpu", "python", "numpy")}
         | {"platform": platform.platform()},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "seeds": [args.first_seed, args.first_seed + args.pairs - 1],
+        "settings": {"pairs": len(SEEDS), "seconds": float(SECONDS),
+                     "seeds": [SEEDS[0], SEEDS[-1]],
                      "order": "checkouts alternate which runs first"},
         "checkouts": {},
     }

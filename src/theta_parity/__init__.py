@@ -1,11 +1,10 @@
 """Verification and search engine for mod-2 theta-function identities
 f_a = f_b * f_c, with machine-checkable certificates."""
 
-from .classify import (Certificate, ClassificationReport, ClassifyConfig,
-                       SPORADIC_TRIPLES, Triple, brute_search,
-                       candidate_filter, egyptian_a, enumerate_candidates,
-                       family_criterion, run_classification,
-                       theorem_prediction, verify_triple)
+from .classify import (Certificate, ClassificationReport, SPORADIC_TRIPLES,
+                       Triple, brute_search, candidate_filter, egyptian_a,
+                       enumerate_candidates, family_criterion,
+                       run_classification, theorem_prediction, verify_triple)
 from .gf2series import Gf2Series
 from .numth import (ResidueClass, is_prime, is_square, jacobi,
                     primes_in_class, squarefree_part, vp)
@@ -19,7 +18,7 @@ from .theta import (eta_power_series, eta_support, euler_jacobi_check,
 
 __all__ = [
     "BM_CONJECTURED_PAIRS", "BM_REFUTED_PAIRS", "Certificate",
-    "ClassificationReport", "ClassifyConfig", "Gf2Series", "ResidueClass",
+    "ClassificationReport", "Gf2Series", "ResidueClass",
     "SPORADIC_TRIPLES", "SolutionPair", "Triple", "WeberCertificate",
     "WeberPrime", "bm_first_failure", "brute_search", "candidate_filter",
     "egyptian_a", "enumerate_candidates", "eta_power_series",

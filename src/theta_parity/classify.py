@@ -14,7 +14,7 @@ never "proven".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 from math import gcd
 from typing import Optional
@@ -155,26 +155,18 @@ def enumerate_candidates() -> list[Triple]:
     return sorted(out)
 
 
-# Truncation of the cheap first comparison: witnesses live at tiny
-# indices, so most decoys never touch the full-length series.
+# Truncation of the cheap first comparisons: witnesses live at tiny
+# indices, so most decoys never touch the full-length series, and the
+# family spot checks stop here too.
 PREFILTER_TERMS = 4096
+# Cap on the Weber primes each candidate's search examines
+# (weber_reject's bound).
+WEBER_BOUND = 12
 # Ceiling on the rank of the representations each candidate's Weber
 # search considers (weber_reject's max_enumerated).
 WEBER_MAX_ENUMERATED = 300_000
-
-
-@dataclass(frozen=True)
-class ClassifyConfig:
-    """Knobs for run_classification; defaults match the desk-scale run."""
-
-    weber_bound: int = 12
-    family_spot_max_d: int = 200
-    family_spot_terms: int = 4096
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+# The family criterion is spot-checked by series for even d up to here.
+FAMILY_MAX_D = 200
 
 
 @dataclass(frozen=True)
@@ -190,8 +182,8 @@ class ClassificationReport:
     n_terms: int
     certificates: list[Certificate]
     family_checks: list[FamilyCheck]
-    weak_bound_admits: list[Triple] = field(default_factory=list)
-    mismatches: list[str] = field(default_factory=list)
+    weak_bound_admits: list[Triple]
+    mismatches: list[str]
 
     @property
     def verified(self) -> list[Certificate]:
@@ -206,32 +198,30 @@ class ClassificationReport:
         return not self.mismatches
 
 
-def _decide_candidate(triple: Triple, n_terms: int,
-                      config: ClassifyConfig) -> Certificate:
+def _decide_candidate(triple: Triple, n_terms: int) -> Certificate:
     pre = min(PREFILTER_TERMS, n_terms)
     cert = verify_triple(triple.a, triple.b, triple.c, pre)
     if cert.status == VERIFIED and pre < n_terms:
         cert = verify_triple(triple.a, triple.b, triple.c, n_terms)
     return replace(cert, weber=weber_reject(
-        triple.b, triple.c, config.weber_bound,
+        triple.b, triple.c, WEBER_BOUND,
         max_enumerated=WEBER_MAX_ENUMERATED))
 
 
-def run_classification(n_terms: int = 10 ** 6,
-                       config: ClassifyConfig = ClassifyConfig()
-                       ) -> ClassificationReport:
+def run_classification(n_terms: int) -> ClassificationReport:
     """Reproduce the finite computation behind the classification theorem.
 
-    Verifies every enumerated b' != c' candidate to n_terms, attaches
-    Weber certificates to refutations when the bounded search finds one,
-    spot-checks the b' = c' family criterion by series, and asserts the
-    verified set is exactly the eight sporadic triples.  Deviations are
-    reported as mismatches (a hard failure for callers).
+    Verifies every enumerated b' != c' candidate to n_terms (after a
+    PREFILTER_TERMS first pass), attaches Weber certificates from a
+    search over WEBER_BOUND primes and at most WEBER_MAX_ENUMERATED
+    representations, spot-checks the b' = c' family criterion by series
+    for even d up to FAMILY_MAX_D at min(PREFILTER_TERMS, n_terms) terms,
+    and asserts the verified set is exactly the eight sporadic triples.
+    Deviations are reported as mismatches (a hard failure for callers).
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    certs = [_decide_candidate(t, n_terms, config)
-             for t in enumerate_candidates()]
+    certs = [_decide_candidate(t, n_terms) for t in enumerate_candidates()]
 
     mismatches = []
     verified = {c.triple for c in certs if c.status == VERIFIED}
@@ -246,8 +236,8 @@ def run_classification(n_terms: int = 10 ** 6,
                 f"verified {c.triple.as_tuple()} has a Weber refutation")
 
     family_checks = []
-    for d in range(2, config.family_spot_max_d + 1, 2):
-        cert = verify_triple(d // 2, d, d, min(config.family_spot_terms, n_terms))
+    for d in range(2, FAMILY_MAX_D + 1, 2):
+        cert = verify_triple(d // 2, d, d, min(PREFILTER_TERMS, n_terms))
         check = FamilyCheck(d, (cert.status == VERIFIED) == family_criterion(d))
         family_checks.append(check)
         if not check.consistent:
@@ -270,7 +260,7 @@ def theorem_prediction(bound: int) -> list[Triple]:
     return sorted(out)
 
 
-def brute_search(bound: int, n_terms: int = 2000) -> list[Triple]:
+def brute_search(bound: int, n_terms: int) -> list[Triple]:
     """All (b <= c <= bound) admitting some integer a with f_a = f_b*f_c
     below n_terms, found without using the necessary-condition filters.
 

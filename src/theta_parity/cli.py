@@ -1,10 +1,10 @@
 """Command-line front end with line-oriented JSON output.
 
 Every subcommand prints one JSON object per line (command echo, inputs,
-status, payload); --plain switches to key=value text.  Exit codes: 0 on
-success, 1 when a checked claim fails (a witness was found where none
-was expected), 2 on usage errors, including arguments a command rejects
-as out of range.  Diagnostics go to stderr.
+status, payload) to stdout, or to FILE with --out FILE.  Exit codes: 0
+on success, 1 when a checked claim fails (a witness was found where
+none was expected), 2 on usage errors, including arguments a command
+rejects as out of range.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -21,25 +21,8 @@ _EXIT_CLAIM_FAILED = 1
 _EXIT_USAGE = 2
 
 
-def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--plain", action="store_true",
-                        help="plain key=value output instead of JSON lines")
-    parser.add_argument("--out", metavar="FILE", default=None,
-                        help="write the output stream to FILE instead of stdout")
-
-
 def _emit(records: list[dict], args) -> None:
-    if args.plain:
-        lines = []
-        for rec in records:
-            parts = []
-            for key, val in rec.items():
-                if isinstance(val, (list, dict)):
-                    val = json.dumps(val, separators=(",", ":"))
-                parts.append(f"{key}={val}")
-            lines.append("  ".join(parts))
-    else:
-        lines = [json.dumps(rec, separators=(",", ":")) for rec in records]
+    lines = [json.dumps(rec, separators=(",", ":")) for rec in records]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -160,18 +143,13 @@ def _cmd_verify(args):
 
 
 def _cmd_classify(args):
-    config = classify.ClassifyConfig(
-        weber_bound=args.weber_bound,
-        family_spot_max_d=args.family_d,
-        family_spot_terms=args.family_terms,
-    )
-    report = classify.run_classification(args.terms, config)
+    report = classify.run_classification(args.terms)
     records = [_record(args, kind="candidate", triple=list(c.triple.as_tuple()),
                        **_certificate_dict(c))
                for c in report.certificates]
     records.append(_record(
         args, kind="family", rule="v2(d) in {2, 3}",
-        checked_d_up_to=config.family_spot_max_d,
+        checked_d_up_to=classify.FAMILY_MAX_D,
         consistent=all(f.consistent for f in report.family_checks)))
     records.append(_record(
         args, kind="summary", status="ok" if report.ok else "failed",
@@ -202,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        _common_flags(p)
+        p.add_argument("--out", metavar="FILE", default=None,
+                       help="write the output stream to FILE instead of stdout")
         p.set_defaults(fn=fn)
         return p
 
@@ -264,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", _cmd_classify, help="reproduce the classification theorem")
     p.add_argument("--terms", type=int, default=10 ** 6)
-    defaults = classify.ClassifyConfig
-    p.add_argument("--weber-bound", type=int, default=defaults.weber_bound)
-    p.add_argument("--family-d", type=int, default=defaults.family_spot_max_d)
-    p.add_argument("--family-terms", type=int, default=defaults.family_spot_terms)
 
     p = add("brute", _cmd_brute, help="exhaustive search over b <= c <= bound")
     p.add_argument("--bound", type=int, required=True)
@@ -280,7 +255,7 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.echo = {k: v for k, v in sorted(vars(args).items())
-                 if k not in ("fn", "command", "plain", "out", "echo")
+                 if k not in ("fn", "command", "out", "echo")
                  and v is not None}
     try:
         records, code = args.fn(args)

@@ -59,7 +59,7 @@ def eta_support(n_terms: int) -> list[int]:
         if g2 < n_terms:
             out.append(g2)
         j += 1
-    return sorted(out)
+    return out
 
 
 def eta_series(n_terms: int) -> Gf2Series:

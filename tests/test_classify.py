@@ -4,7 +4,7 @@ from math import isqrt
 import pytest
 
 from theta_parity import classify
-from theta_parity.classify import (ClassifyConfig, SPORADIC_TRIPLES, Triple,
+from theta_parity.classify import (SPORADIC_TRIPLES, Triple,
                                    VERIFIED, REFUTED, brute_search,
                                    candidate_filter, egyptian_a,
                                    enumerate_candidates, family_criterion,
@@ -118,9 +118,7 @@ def test_candidate_filter_accepts_exactly_the_enumerated_pairs():
 
 
 def test_run_classification_small_scale():
-    config = ClassifyConfig(weber_bound=6, family_spot_max_d=60,
-                            family_spot_terms=2048)
-    report = run_classification(20000, config)
+    report = run_classification(20000)
     assert report.ok, report.mismatches
     assert sorted(c.triple for c in report.verified) == sorted(SPORADIC_TRIPLES)
     for cert in report.refuted:
@@ -136,15 +134,6 @@ def test_run_classification_small_scale():
     # <= 3 derivation would not; all are refuted anyway
     assert report.weak_bound_admits
     assert all(vp(t.d, 2) == 4 for t in report.weak_bound_admits)
-
-
-@pytest.mark.parametrize("field", ["weber_bound", "family_spot_max_d",
-                                   "family_spot_terms"])
-def test_classify_config_rejects_non_positive_fields(field):
-    assert getattr(ClassifyConfig(**{field: 1}), field) == 1
-    for value in (0, -3):
-        with pytest.raises(ValueError, match=field):
-            ClassifyConfig(**{field: value})
 
 
 def test_theorem_prediction_small():

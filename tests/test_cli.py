@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from theta_parity import classify
 from theta_parity.cli import dispatch
 
 
@@ -63,9 +64,6 @@ def test_partition_output_bytes(capsys):
     assert capsys.readouterr().out == (
         '{"command":"partition","inputs":{"terms":1000},"status":"ok",'
         f'"parity":[{bits}]}}\n')
-    assert dispatch(["partition", "--terms", "1000", "--plain"]) == 0
-    assert capsys.readouterr().out == (
-        f'command=partition  inputs={{"terms":1000}}  status=ok  parity=[{bits}]\n')
 
 
 def test_bm_subcommand(capsys):
@@ -116,9 +114,9 @@ def test_weber_find_and_reject(capsys):
 
 
 def test_classify_small(capsys):
-    code, records = run_cli(capsys, "classify", "--terms", "20000",
-                            "--weber-bound", "2", "--family-d", "40")
+    code, records = run_cli(capsys, "classify", "--terms", "20000")
     assert code == 0
+    assert all(r["inputs"] == {"terms": 20000} for r in records)
     summary = records[-1]
     assert summary["status"] == "ok"
     assert summary["verified"] == [[4, 6, 12], [6, 8, 24], [8, 12, 24],
@@ -129,6 +127,7 @@ def test_classify_small(capsys):
     assert triples == sorted(triples)
     family = [r for r in records if r.get("kind") == "family"]
     assert family[0]["consistent"] is True
+    assert family[0]["checked_d_up_to"] == classify.FAMILY_MAX_D
 
 
 def test_brute_small(capsys):
@@ -137,13 +136,6 @@ def test_brute_small(capsys):
     assert records[-1]["matches_theorem"] is True
     triples = [tuple(r["triple"]) for r in records if r.get("kind") == "triple"]
     assert triples == [(2, 4, 4), (4, 8, 8)]
-
-
-def test_plain_output(capsys):
-    code = dispatch(["series", "--m", "4", "--terms", "13", "--plain"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "support=[0,2,6,12]" in out
 
 
 def test_out_file(tmp_path, capsys):
@@ -166,7 +158,7 @@ def test_usage_error_exit_code():
 _REJECTED = {
     ("weber", "--reject", "--b", "5", "--c", "7", "--bound", "3"): "(5, 7)",
     ("series", "--m", "0", "--terms", "5"): "m and n_terms",
-    ("classify", "--terms", "2000", "--weber-bound", "0"): "weber_bound",
+    ("classify", "--terms", "0"): "n_terms must be positive",
     ("verify", "--a", "0", "--b", "6", "--c", "12", "--terms", "10"):
         "a, b, c must be positive",
     ("weber", "--reject", "--b", "6", "--bound", "3"): "--reject needs --b and --c",
@@ -190,7 +182,7 @@ def test_rejected_arguments_exit_as_usage_errors(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--a", "4", "--b", "6", "--c", "12", "--terms", "2000"],
-    ["classify", "--terms", "2000", "--weber-bound", "1", "--family-d", "8"],
+    ["classify", "--terms", "2000"],
     ["brute", "--bound", "8", "--terms", "500"],
 ])
 def test_successful_runs_write_nothing_to_stderr(capsys, argv):
@@ -198,6 +190,18 @@ def test_successful_runs_write_nothing_to_stderr(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("flag", [["--plain"], ["--weber-bound", "1"],
+                                  ["--family-d", "8"], ["--family-terms", "1"]],
+                         ids=lambda flag: flag[0])
+def test_classify_takes_no_tuning_flags(capsys, flag):
+    # the classification runs at the module's fixed search bounds, and
+    # every command prints JSON lines only
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["classify", "--terms", "2000", *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_console_entry_point():

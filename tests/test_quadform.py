@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from theta_parity import quadform
-from theta_parity.classify import (WEBER_MAX_ENUMERATED, ClassifyConfig,
+from theta_parity.classify import (WEBER_BOUND, WEBER_MAX_ENUMERATED,
                                    enumerate_candidates)
 from theta_parity.numth import is_prime, is_square, jacobi, primes_in_class, vp
 from theta_parity.quadform import (SolutionPair, WeberCertificate, WeberPrime,
@@ -373,10 +373,9 @@ def test_weber_reject_default_config_certificates():
         (90, 144, 240): (15121, 119, 8, 168),
         (126, 144, 1008): (2017, 15, 16, 16),
     }
-    config = ClassifyConfig()
     got = {}
     for t in enumerate_candidates():
-        cert = weber_reject(t.b, t.c, config.weber_bound,
+        cert = weber_reject(t.b, t.c, WEBER_BOUND,
                             max_enumerated=WEBER_MAX_ENUMERATED)
         if cert is not None:
             got[t.as_tuple()] = (cert.prime.p, cert.prime.u, cert.prime.v,
@@ -388,9 +387,9 @@ def test_weber_reject_default_config_certificates():
             assert prod.coeff(cert.index) == 1, t
             assert is_square(t.a * cert.index + 1) is None, t
     assert got == expected
-    # these three run out of representations before weber_bound primes
+    # these three run out of representations before WEBER_BOUND primes
     for a, b, c in ((506, 528, 12144), (1190, 1680, 4080), (1330, 1680, 6384)):
         d = gcd(b, c)
         stream = _congruent_representations(
             (b // d) * (c // d), lcm(a, b, c), WEBER_MAX_ENUMERATED)
-        assert sum(is_prime(p) for p, _, _ in stream) < config.weber_bound
+        assert sum(is_prime(p) for p, _, _ in stream) < WEBER_BOUND

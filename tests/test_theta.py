@@ -58,7 +58,7 @@ def test_eta_support_examples():
 
 
 def test_eta_support_equals_f24():
-    for n in (1, 2, 17, 100, 4096):
+    for n in (1, 2, 17, 100, 4096, 10 ** 6):
         assert tuple(eta_support(n)) == theta_support(24, n)
 
 

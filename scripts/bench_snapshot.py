@@ -20,7 +20,9 @@ one read lower than each other one (ties count for neither).
 The north-star figures are timed once per checkout, each in a fresh
 interpreter, with that process's maximum resident set size:
 partition_parity(10^7), bm_first_failure(6, 8, 10^7) and
-verify_triple(4, 6, 12, 10^7).
+verify_triple(4, 6, 12, 10^7).  So is the Tier-1 test suite, run as
+TIER1 with the checkout's src on PYTHONPATH: its wall time, exit code
+and pytest's summary line.
 """
 
 import argparse
@@ -30,6 +32,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("classify", "brute", "parity")
@@ -49,6 +52,8 @@ NORTH_STAR = {
         "from theta_parity.classify import verify_triple\n"
         "result = verify_triple(4, 6, 12, 10 ** 7).status",
 }
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 # Times the figure's code after the imports its own lines make, and
 # reports the whole process's maximum RSS.
@@ -88,6 +93,17 @@ def figure(checkout: Path, code: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = _run([sys.executable, "-c", _FIGURE.format(code=code)], checkout, env)
     return json.loads(out.splitlines()[-1])
+
+
+def tier1(checkout: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True,
+                          text=True)
+    seconds = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"seconds": seconds, "exit_code": proc.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def summary(values: list) -> dict:
@@ -145,6 +161,8 @@ def main() -> int:
             side["north_star"][label] = figure(checkouts[name], code)
             print(f"{name} {label}: {side['north_star'][label]}", file=sys.stderr,
                   flush=True)
+        side["tier1"] = tier1(checkouts[name])
+        print(f"{name} tier-1: {side['tier1']}", file=sys.stderr, flush=True)
         snapshot["checkouts"][name] = side
 
     first, others = names[0], names[1:]

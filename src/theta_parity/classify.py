@@ -169,19 +169,13 @@ WEBER_MAX_ENUMERATED = 300_000
 FAMILY_MAX_D = 200
 
 
-@dataclass(frozen=True)
-class FamilyCheck:
-    """Whether the series check of (d/2, d, d) agrees with family_criterion."""
-
-    d: int
-    consistent: bool
-
-
 @dataclass
 class ClassificationReport:
     n_terms: int
     certificates: list[Certificate]
-    family_checks: list[FamilyCheck]
+    # whether the series check of every (d/2, d, d) up to FAMILY_MAX_D
+    # agrees with family_criterion; each disagreeing d is a mismatch
+    family_consistent: bool
     weak_bound_admits: list[Triple]
     mismatches: list[str]
 
@@ -235,21 +229,21 @@ def run_classification(n_terms: int) -> ClassificationReport:
             mismatches.append(
                 f"verified {c.triple.as_tuple()} has a Weber refutation")
 
-    family_checks = []
-    for d in range(2, FAMILY_MAX_D + 1, 2):
-        cert = verify_triple(d // 2, d, d, min(PREFILTER_TERMS, n_terms))
-        check = FamilyCheck(d, (cert.status == VERIFIED) == family_criterion(d))
-        family_checks.append(check)
-        if not check.consistent:
-            mismatches.append(
-                f"family criterion disagrees with series at d = {d}")
+    family_terms = min(PREFILTER_TERMS, n_terms)
+    family_disagreements = [
+        d for d in range(2, FAMILY_MAX_D + 1, 2)
+        if (verify_triple(d // 2, d, d, family_terms).status == VERIFIED)
+        != family_criterion(d)]
+    for d in family_disagreements:
+        mismatches.append(f"family criterion disagrees with series at d = {d}")
 
     # candidates admitted only because the filter uses the lenient
     # v2(d) <= 4 bound; the sharper derivation gives <= 3
     weak = [c.triple for c in certs
             if (c.triple.b_p + c.triple.c_p) % 2 == 0 and vp(c.triple.d, 2) == 4]
 
-    return ClassificationReport(n_terms, certs, family_checks, weak, mismatches)
+    return ClassificationReport(n_terms, certs, not family_disagreements,
+                                weak, mismatches)
 
 
 def theorem_prediction(bound: int) -> list[Triple]:

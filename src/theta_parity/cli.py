@@ -5,6 +5,13 @@ status, payload) to stdout, or to FILE with --out FILE.  Exit codes: 0
 on success, 1 when a checked claim fails (a witness was found where
 none was expected), 2 on usage errors, including arguments a command
 rejects as out of range.  Diagnostics go to stderr.
+
+Commands that check a set of claims print one record per claim and
+exit 1 if any fails: `euler-jacobi` without --a checks every exponent,
+and `bm` without --a and --b sweeps the ten Ballantine-Merca pairs,
+each record carrying the theorem's verdict as `expected` (verified for
+the seven conjectured pairs, refuted for the other three).  Together
+with `classify`, these three streams reproduce the paper's results.
 """
 
 from __future__ import annotations
@@ -85,9 +92,23 @@ def _cmd_partition(args):
 
 
 def _cmd_bm(args):
-    witness = partition.bm_first_failure(args.a, args.b, args.max)
-    rec = _record(args, status=classify.witness_status(witness), witness=witness)
-    return [rec], _EXIT_OK if witness is None else _EXIT_CLAIM_FAILED
+    if args.a is not None and args.b is not None:
+        witness = partition.bm_first_failure(args.a, args.b, args.max)
+        rec = _record(args, status=classify.witness_status(witness), witness=witness)
+        return [rec], _EXIT_OK if witness is None else _EXIT_CLAIM_FAILED
+    if args.a is not None or args.b is not None:
+        raise ValueError("--a and --b must be given together")
+    records, code = [], _EXIT_OK
+    for a, b in partition.BM_CONJECTURED_PAIRS + partition.BM_REFUTED_PAIRS:
+        witness = partition.bm_first_failure(a, b, args.max)
+        status = classify.witness_status(witness)
+        expected = (classify.VERIFIED if (a, b) in partition.BM_CONJECTURED_PAIRS
+                    else classify.REFUTED)
+        records.append(_record(args, a=a, b=b, status=status, witness=witness,
+                               expected=expected))
+        if status != expected:
+            code = _EXIT_CLAIM_FAILED
+    return records, code
 
 
 def _cmd_repcount(args):
@@ -150,7 +171,7 @@ def _cmd_classify(args):
     records.append(_record(
         args, kind="family", rule="v2(d) in {2, 3}",
         checked_d_up_to=classify.FAMILY_MAX_D,
-        consistent=all(f.consistent for f in report.family_checks)))
+        consistent=report.family_consistent))
     records.append(_record(
         args, kind="summary", status="ok" if report.ok else "failed",
         verified=[list(c.triple.as_tuple()) for c in report.verified],
@@ -201,9 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("partition", _cmd_partition, help="parity table of p(n)")
     p.add_argument("--terms", type=int, required=True)
 
-    p = add("bm", _cmd_bm, help="Ballantine-Merca check for a pair (a, b)")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = add("bm", _cmd_bm,
+            help="Ballantine-Merca check for a pair (a, b), or for all ten pairs")
+    p.add_argument("--a", type=int, default=None)
+    p.add_argument("--b", type=int, default=None)
     p.add_argument("--max", type=int, required=True)
 
     p = add("repcount", _cmd_repcount, help="representation count at one index")

@@ -40,7 +40,7 @@ def theta_series(m: int, n_terms: int) -> Gf2Series:
     return Gf2Series.from_support(theta_support(m, n_terms), n_terms)
 
 
-def eta_support(n_terms: int) -> list[int]:
+def eta_support(n_terms: int) -> tuple:
     """Generalized pentagonal numbers j(3j+-1)/2 below n_terms, ascending.
 
     Mod 2 the signs in Euler's expansion of (q;q)_inf collapse, leaving
@@ -59,7 +59,7 @@ def eta_support(n_terms: int) -> list[int]:
         if g2 < n_terms:
             out.append(g2)
         j += 1
-    return out
+    return tuple(out)
 
 
 def eta_series(n_terms: int) -> Gf2Series:

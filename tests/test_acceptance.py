@@ -11,8 +11,8 @@ import sys
 import time
 from math import gcd, isqrt
 
-from theta_parity.classify import (SPORADIC_TRIPLES, VERIFIED, REFUTED,
-                                   brute_search, run_classification,
+from theta_parity.classify import (FAMILY_MAX_D, SPORADIC_TRIPLES, VERIFIED,
+                                   REFUTED, brute_search, run_classification,
                                    theorem_prediction)
 from theta_parity.gf2series import Gf2Series
 from theta_parity.numth import is_prime, is_square, jacobi, primes_in_class, vp
@@ -62,14 +62,14 @@ def test_criterion_03_theorem_reproduction():
         != (1 if is_square(c.triple.a * c.witness + 1) else 0)
         for c in report.refuted)
     full_n_ok = all(c.n_terms == 10 ** 6 for c in report.verified)
-    family_ok = all(f.consistent for f in report.family_checks)
+    family_ok = report.family_consistent
     coverage_ok = len(report.verified) + len(report.refuted) == len(report.certificates)
     ok = (report.ok and verified == expected and refuted_ok and witness_ok
           and family_ok and full_n_ok and coverage_ok and elapsed < 300.0)
     _report(3, ok,
             f"run_classification(10^6): {len(report.verified)} sporadics verified, "
             f"{len(report.refuted)} refuted with confirmed witnesses, family "
-            f"criterion consistent to d={report.family_checks[-1].d}, "
+            f"criterion consistent to d={FAMILY_MAX_D}, "
             f"in {elapsed:.1f}s (< 300s)")
 
 

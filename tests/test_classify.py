@@ -129,7 +129,7 @@ def test_run_classification_small_scale():
         if cert.status == VERIFIED:
             assert cert.weber is None
             assert cert.n_terms == 20000
-    assert all(f.consistent for f in report.family_checks)
+    assert report.family_consistent
     # the lenient v2(d) <= 4 filter bound admits candidates the sharper
     # <= 3 derivation would not; all are refuted anyway
     assert report.weak_bound_admits

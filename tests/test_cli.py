@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from theta_parity import classify
+from theta_parity import classify, partition
 from theta_parity.cli import dispatch
 
 
@@ -71,6 +71,31 @@ def test_bm_subcommand(capsys):
     assert code == 0 and records[0]["witness"] is None
     code, records = run_cli(capsys, "bm", "--a", "18", "--b", "72", "--max", "100")
     assert code == 1 and records[0]["witness"] == 1
+
+
+def test_bm_sweep(capsys):
+    code, records = run_cli(capsys, "bm", "--max", "1000")
+    assert code == 0
+    assert [(r["a"], r["b"]) for r in records] == list(
+        partition.BM_CONJECTURED_PAIRS + partition.BM_REFUTED_PAIRS)
+    assert all(r["inputs"] == {"max": 1000} for r in records)
+    assert all(r["status"] == r["expected"] for r in records)
+    assert [(r["status"], r["witness"]) for r in records] == (
+        [("verified", None)] * 7 + [("refuted", 1)] * 3)
+
+
+def test_bm_sweep_fails_when_a_pair_departs_from_the_theorem(capsys, monkeypatch):
+    bm_first_failure = partition.bm_first_failure
+
+    def failing_at_6_8(a, b, n_max):
+        return 1 if (a, b) == (6, 8) else bm_first_failure(a, b, n_max)
+
+    monkeypatch.setattr(partition, "bm_first_failure", failing_at_6_8)
+    code, records = run_cli(capsys, "bm", "--max", "1000")
+    assert code == 1
+    assert records[0]["status"] == "refuted"
+    assert records[0]["expected"] == "verified"
+    assert len(records) == 10
 
 
 def test_repcount_subcommand(capsys):
@@ -165,6 +190,7 @@ _REJECTED = {
     ("weber", "--bound", "3"): "either --reject --b --c or --d",
     ("lemma-sols", "--bp", "1", "--cp", "2", "--target", "33", "--u", "3"):
         "--u and --v must be given together",
+    ("bm", "--a", "6", "--max", "10"): "--a and --b must be given together",
 }
 
 
@@ -184,6 +210,7 @@ def test_rejected_arguments_exit_as_usage_errors(capsys, argv):
     ["verify", "--a", "4", "--b", "6", "--c", "12", "--terms", "2000"],
     ["classify", "--terms", "2000"],
     ["brute", "--bound", "8", "--terms", "500"],
+    ["bm", "--max", "1000"],
 ])
 def test_successful_runs_write_nothing_to_stderr(capsys, argv):
     assert dispatch(argv) == 0

@@ -14,15 +14,18 @@ alternates from round to round, so ten seeds give the ten alternating
 pairs a claimed gain is judged on.
 The snapshot records, per checkout and workload, each end-to-end metric's
 median, quartiles and samples, and the failed share of checked outputs.
+It also records the per-layer metrics of one traced run
+(`perfbench/run.py --trace 1`, first seed, same run length) per checkout
+and workload, with whether that run's outputs and self-checks passed.
 With two or more checkouts it also counts the rounds in which the first
 one read lower than each other one (ties count for neither).
 
 The north-star figures are timed once per checkout, each in a fresh
 interpreter, with that process's maximum resident set size:
-partition_parity(10^7), bm_first_failure(6, 8, 10^7) and
-verify_triple(4, 6, 12, 10^7).  So is the Tier-1 test suite, run as
-TIER1 with the checkout's src on PYTHONPATH: its wall time, exit code
-and pytest's summary line.
+partition_parity(10^7), bm_first_failure(6, 8, 10^7),
+verify_triple(4, 6, 12, 10^7) and theta_support(552, 10^9).  So is the
+Tier-1 test suite, run as TIER1 with the checkout's src on PYTHONPATH:
+its wall time, exit code and pytest's summary line.
 """
 
 import argparse
@@ -51,14 +54,18 @@ NORTH_STAR = {
     "verify_triple(4, 6, 12, 10^7)":
         "from theta_parity.classify import verify_triple\n"
         "result = verify_triple(4, 6, 12, 10 ** 7).status",
+    "theta_support(552, 10^9)":
+        "from theta_parity.theta import theta_support\n"
+        "result = len(theta_support(552, 10 ** 9))",
 }
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
-# Times the figure's code after the imports its own lines make, and
-# reports the whole process's maximum RSS.
+# Times the figure's code with the package (and so numpy) already
+# imported, and reports the whole process's maximum RSS.
 _FIGURE = """\
 import json, resource, time
+import theta_parity
 t0 = time.perf_counter()
 {code}
 seconds = time.perf_counter() - t0
@@ -78,15 +85,20 @@ def commit(checkout: Path) -> str:
     return _run(["git", "rev-parse", "HEAD"], checkout).strip()
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int = 0) -> tuple[dict, dict]:
+    """One perfbench run: (its machine record, its result object)."""
     out = _run([sys.executable, "perfbench/run.py", "--workload", workload,
-                "--seed", str(seed), "--seconds", str(seconds)], checkout)
+                "--seed", str(seed), "--seconds", str(seconds),
+                "--trace", str(trace)], checkout)
     lines = out.splitlines()
-    result = json.loads(lines[-1])
-    machine = json.loads(lines[0].removeprefix("machine "))
-    return {"machine": machine, "attempted": result["attempted"],
-            "failed": result["failed"], "correct": result["correct"],
-            **{m: result["metrics"][m]["value"] for m in METRICS}}
+    return json.loads(lines[0].removeprefix("machine ")), json.loads(lines[-1])
+
+
+def layer_run(checkout: Path, workload: str) -> dict:
+    _, result = bench_run(checkout, workload, SEEDS[0], SECONDS, trace=1)
+    return {"correct": result["correct"],
+            **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
 def figure(checkout: Path, code: str) -> dict:
@@ -126,14 +138,14 @@ def main() -> int:
     names = list(checkouts)
 
     runs = {name: {w: [] for w in WORKLOADS} for name in names}
-    machine = None
     for workload in WORKLOADS:
         for i, seed in enumerate(SEEDS):
             order = names if i % 2 == 0 else names[::-1]
             for name in order:
-                rec = bench_run(checkouts[name], workload, seed, SECONDS)
-                machine = machine or rec["machine"]
-                del rec["machine"]
+                machine, result = bench_run(checkouts[name], workload, seed, SECONDS)
+                rec = {"attempted": result["attempted"], "failed": result["failed"],
+                       "correct": result["correct"],
+                       **{m: result["metrics"][m]["value"] for m in METRICS}}
                 runs[name][workload].append(rec)
                 print(f"{workload} seed {seed} {name}: "
                       + ", ".join(f"{m} {rec[m]:.4f}" for m in METRICS),
@@ -149,7 +161,8 @@ def main() -> int:
         "checkouts": {},
     }
     for name in names:
-        side = {"commit": commit(checkouts[name]), "workloads": {}, "north_star": {}}
+        side = {"commit": commit(checkouts[name]), "workloads": {}, "layers": {},
+                "north_star": {}}
         for workload, recs in runs[name].items():
             attempted = sum(r["attempted"] for r in recs)
             side["workloads"][workload] = {
@@ -157,6 +170,9 @@ def main() -> int:
                 "fail_frac": (sum(r["failed"] for r in recs) / attempted
                               if attempted else 1.0),
                 "all_correct": all(r["correct"] for r in recs)}
+            side["layers"][workload] = layer_run(checkouts[name], workload)
+            print(f"{name} {workload} traced: {side['layers'][workload]}",
+                  file=sys.stderr, flush=True)
         for label, code in NORTH_STAR.items():
             side["north_star"][label] = figure(checkouts[name], code)
             print(f"{name} {label}: {side['north_star'][label]}", file=sys.stderr,

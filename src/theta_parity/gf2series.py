@@ -25,6 +25,7 @@ is ever reported, and all identity claims are "below N" claims.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,8 +60,12 @@ class Gf2Series:
 
     @classmethod
     def from_support(cls, indices: Sequence[int], n_terms: int) -> "Gf2Series":
-        """Series with coefficient 1 exactly at `indices` (strictly increasing)."""
-        indices = list(indices)
+        """Series with coefficient 1 exactly at `indices` (strictly increasing).
+
+        Indices are stored as Python ints, so an integer array may be
+        passed: numpy scalars would overflow in the kernels' shifts.
+        """
+        indices = list(map(operator.index, indices))
         prev = -1
         for k in indices:
             if k <= prev:

@@ -1,9 +1,12 @@
 """Theta series f_m and the Euler product mod 2.
 
 f_m is the series whose q^k coefficient is 1 exactly when m*k + 1 is a
-perfect square.  Supports are generated by iterating the square root y
-rather than scanning k: cost O(sqrt(m*N)) per series, which is what makes
-N = 10^6 sweeps cheap.
+perfect square.  Those squares are y^2 with y^2 = 1 (mod m), so the
+support is built in numpy from the square roots r of 1 mod m: every y is
+r plus a multiple of m.  The cost is O(min(m, sqrt(m*N))) for the roots
+plus O(|support|), which is what makes N = 10^9 supports cheap.  The
+arithmetic is int64, exact for m*N < 2^63; larger inputs raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -11,29 +14,44 @@ from __future__ import annotations
 from math import isqrt
 from typing import Optional
 
+import numpy as np
+
 from .gf2series import Gf2Series
 
 # Exponents a with (q;q)_inf^a congruent to f_{24/a} mod 2.  Other
 # exponents are rejected rather than extrapolated.
 EULER_JACOBI_EXPONENTS = (1, 2, 3, 4, 6)
 
+_INT64_LIMIT = 1 << 63
+# Candidate roots scanned per numpy step; bounds the scan's memory.
+_ROOT_CHUNK = 1 << 16
+
 
 def theta_support(m: int, n_terms: int) -> tuple:
     """All k < n_terms with m*k + 1 a perfect square, ascending.
 
-    Iterates y = 1, 2, ... keeping y with m | y^2 - 1; each qualifying y
-    yields k = (y^2 - 1)/m, strictly increasing in y, so the result is
-    already sorted and duplicate-free.
+    With lim = isqrt(m*N), the qualifying y = sqrt(m*k + 1) <= lim are
+    r + j*m for the roots r in [1, min(m, lim)] of r^2 = 1 (mod m), found
+    by a numpy scan in chunks of _ROOT_CHUNK, so memory stays
+    O(chunk + |support|) however large m is.  Each root lies in [1, m],
+    so rows j*m + roots are ascending and their concatenation is sorted
+    and duplicate-free.  Returns Python ints; raises ValueError unless
+    m*N < 2^63, the range where int64 is exact.
     """
     if m < 1 or n_terms < 1:
         raise ValueError("m and n_terms must be positive")
-    out = []
+    if m * n_terms >= _INT64_LIMIT:
+        raise ValueError("m*n_terms must be below 2^63")
     lim = isqrt(m * n_terms)  # y^2 <= m*N  <=>  k < N
-    for y in range(1, lim + 1):
-        r = y * y - 1
-        if r % m == 0:
-            out.append(r // m)
-    return tuple(out)
+    top = min(m, lim)
+    roots = []
+    for lo in range(1, top + 1, _ROOT_CHUNK):
+        r = np.arange(lo, min(lo + _ROOT_CHUNK, top + 1), dtype=np.int64)
+        roots.append(r[(r * r - 1) % m == 0])
+    y = (np.arange(0, lim + 1, m, dtype=np.int64)[:, None]
+         + np.concatenate(roots)).ravel()
+    y = y[y <= lim]
+    return tuple(((y * y - 1) // m).tolist())
 
 
 def theta_series(m: int, n_terms: int) -> Gf2Series:

@@ -183,6 +183,7 @@ def test_usage_error_exit_code():
 _REJECTED = {
     ("weber", "--reject", "--b", "5", "--c", "7", "--bound", "3"): "(5, 7)",
     ("series", "--m", "0", "--terms", "5"): "m and n_terms",
+    ("series", "--m", "4611686018427387904", "--terms", "2"): "below 2^63",
     ("classify", "--terms", "0"): "n_terms must be positive",
     ("verify", "--a", "0", "--b", "6", "--c", "12", "--terms", "10"):
         "a, b, c must be positive",

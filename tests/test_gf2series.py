@@ -1,6 +1,8 @@
+import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -48,6 +50,15 @@ def test_from_support_examples():
     assert [f.coeff(k) for k in range(8)] == [1, 0, 1, 0, 0, 0, 1, 0]
     assert Gf2Series.from_support([], 4).is_zero()
     assert Gf2Series.from_support([0], 1) == Gf2Series.one(1)
+
+
+def test_from_support_takes_an_integer_array():
+    # numpy scalars in the cached support would overflow in mul's shifts
+    g = Gf2Series.from_support([0, 1, 80], 100)
+    f = Gf2Series.from_support(np.array([0, 3, 70]), 100)
+    assert all(type(k) is int for k in f.support)
+    assert f.mul(g) == Gf2Series.from_support([0, 3, 70], 100).mul(g)
+    assert json.loads(json.dumps(list(f.support))) == [0, 3, 70]
 
 
 def test_from_support_validation():

@@ -1,6 +1,9 @@
+import tracemalloc
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from theta_parity.gf2series import Gf2Series
 from theta_parity.theta import (eta_power_series, eta_support,
@@ -29,6 +32,45 @@ def test_theta_support_matches_scan_oracle():
         assert list(theta_support(m, 2000)) == scan_support(m, 2000)
     for m in (1, 7, 24, 37, 50):
         assert list(theta_support(m, 10 ** 4)) == scan_support(m, 10 ** 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5000), st.integers(1, 3000))
+@example(5000, 1)      # m > lim: only the root 1 is scanned
+@example(4999, 3)
+@example(1, 1)
+def test_theta_support_property_matches_scan_oracle(m, n_terms):
+    sup = theta_support(m, n_terms)
+    assert list(sup) == scan_support(m, n_terms)
+    assert all(type(k) is int for k in sup)
+
+
+@pytest.mark.parametrize("m, n_terms", [
+    (720720, 10 ** 5),   # 2^4*3^2*5*7*11*13: 256 square roots of 1
+    (2 ** 17, 2 ** 17),  # roots on both sides of the first chunk boundary
+])
+def test_theta_support_many_roots_match_scan_oracle(m, n_terms):
+    sup = theta_support(m, n_terms)
+    assert list(sup) == scan_support(m, n_terms)
+    assert all(type(k) is int for k in sup)
+
+
+def test_theta_support_rejects_inputs_beyond_int64():
+    with pytest.raises(ValueError, match="2\\^63"):
+        theta_support(2 ** 40, 2 ** 23)
+
+
+def test_theta_support_scan_memory_is_chunked():
+    # 3.2*10^6 candidate roots; an unchunked scan holds several int64
+    # arrays of that length (about 75 MB)
+    tracemalloc.start()
+    try:
+        sup = theta_support(10 ** 10, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sup == tuple(scan_support(10 ** 10, 1000))
+    assert peak < 8 * 2 ** 20
 
 
 def test_theta_support_roots_are_units():

@@ -2,14 +2,18 @@
 
 Everything here is a pure function on plain integers; Python's arbitrary
 precision arithmetic means quantities like y^2 with y up to isqrt(m*N)
-never overflow.
+never overflow.  The one exception is _isqrt_array, the elementwise
+integer square root that the numpy kernels of theta and quadform share.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Optional
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,24 @@ def is_square(n: int) -> Optional[int]:
         raise ValueError("is_square expects n >= 0")
     r = isqrt(n)
     return r if r * r == n else None
+
+
+def _isqrt_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise floor square root of a non-negative integer array.
+
+    Exact for every int64 value: the float seed is off by at most one
+    and at most isqrt(2^63), so s*s stays in int64.  (s + 1)^2 can pass
+    2^63 but not 2^64, so the upward step reads it as uint64, where its
+    wrapped int64 bits are the exact value.  Object arrays of Python
+    ints go through math.isqrt.
+    """
+    if x.dtype == object:
+        return np.frompyfunc(isqrt, 1, 1)(x)
+    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    s -= s * s > x
+    t = s + 1
+    s += (t * t).view(np.uint64) <= x.view(np.uint64)
+    return s
 
 
 def egyptian_a(b: int, c: int) -> Optional[int]:
@@ -88,11 +110,16 @@ def jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-# Miller-Rabin with the first twelve prime bases is exact below psi_12,
-# the smallest strong pseudoprime to all of them; psi_12 itself needs
-# base 41.
+# Miller-Rabin with the first k prime bases is exact below psi_k, the
+# smallest strong pseudoprime to all of them (OEIS A014233), so n needs
+# only the bases up to the first psi_k above it.  psi_9 = psi_10 =
+# psi_11 passes bases 2 to 31 and fails 37; psi_12 needs base 41.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_BOUND = 318665857834031151167461  # psi_12 = 399165290221 * 798330580441
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461)
+_MR_BOUND = _MR_PSI[-1]  # psi_12 = 399165290221 * 798330580441
 
 
 def is_prime(n: int) -> bool:
@@ -111,7 +138,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

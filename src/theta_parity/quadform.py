@@ -4,8 +4,10 @@ search.
 
 The refutation search walks the values u^2 + D*v^2 in ascending order,
 one numpy annulus at a time.  It yields only the representations it can
-use, p = 1 (mod L) with gcd(u, D) = 1; the others still count toward the
-search's ceiling on representations.
+use, p = 1 (mod L) with gcd(u, D) = 1, and for L <= 2^16 builds only the
+points with p = 1 (mod L), from a table of the square roots mod L.  The
+other points still count toward the search's ceiling on
+representations, by the row counts of each annulus.
 
 Conventions: a triple (a, b, c) pairs y with b and z with c, i.e. the
 counted representations satisfy b | y^2 - 1 and c | z^2 - 1, and the
@@ -20,8 +22,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .numth import (ResidueClass, divisors, egyptian_a, is_prime, is_square,
-                    jacobi, primes_in_class, squarefree_part, vp)
+from .numth import (ResidueClass, _isqrt_array, divisors, egyptian_a,
+                    is_prime, is_square, jacobi, primes_in_class,
+                    squarefree_part, vp)
 
 
 @dataclass(frozen=True)
@@ -195,19 +198,12 @@ def find_weber_prime(D: int, s: int, t: int, M: int,
 # An annulus holds at most about this many lattice points, so the walk's
 # memory is bounded however far `limit` reaches.
 _ANNULUS_POINTS = 1 << 18
-# Below this, u^2 + D*v^2 and the float-seeded square roots are exact in
-# int64; beyond it the walk falls back to Python integers.
+# Below this, u^2 + D*v^2 is exact in int64; beyond it the walk falls
+# back to Python integers.
 _INT64_SAFE = 1 << 62
-
-
-def _isqrt_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise floor square root of a non-negative integer array."""
-    if x.dtype == object:
-        return np.frompyfunc(isqrt, 1, 1)(x)
-    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    s -= s * s > x
-    s += (s + 1) * (s + 1) <= x
-    return s
+# Largest modulus whose residue table the walk builds; the table's
+# uint16 keys hold every square mod M up to this.
+_RESIDUE_TABLE_MAX = 1 << 16
 
 
 def _row_bounds(D: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,24 +217,70 @@ def _row_bounds(D: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return v, u_lo, counts.astype(np.int64)
 
 
+def _rank_cut(D: int, lo: int, hi: int, k: int) -> tuple[int, int]:
+    """(p_k, u_k), the k-th smallest (p, u) of the annulus lo < p <= hi,
+    for 1 <= k <= its lattice count.
+
+    Bisects on X for the smallest p_k whose count of points with
+    lo < p <= X reaches k, counting by _row_bounds without building a
+    point.  The points at p_k lie on the rows where p_k - D*v^2 is a
+    perfect square, one per row; u_k is the one that completes k.
+    """
+    x_lo, x_hi, count_lo = lo, hi, 0  # count(x_lo) < k <= count(x_hi)
+    while x_hi - x_lo > 1:
+        mid = x_lo + (x_hi - x_lo) // 2
+        count = int(_row_bounds(D, lo, mid)[2].sum())
+        if count >= k:
+            x_hi = mid
+        else:
+            x_lo, count_lo = mid, count
+    _, u_lo, counts = _row_bounds(D, x_hi - 1, x_hi)
+    tied = np.sort((u_lo + counts)[counts == 1])
+    return x_hi, int(tied[k - 1 - count_lo])
+
+
+def _ragged_arange(start: np.ndarray, count: np.ndarray,
+                   step: int = 1) -> np.ndarray:
+    """The runs start[i] + step*j for j in [0, count[i]), concatenated."""
+    offsets = np.cumsum(count) - count
+    return np.repeat(start, count) + step * (np.arange(int(count.sum()))
+                                             - np.repeat(offsets, count))
+
+
 def _congruent_representations(D: int, L: int,
                                limit: int) -> Iterator[tuple[int, int, int]]:
     """(p, u, v) with p = u^2 + D*v^2, u, v >= 1, p = 1 (mod L) and
     gcd(u, D) = 1, in ascending (p, u) order, among the first `limit`
     representations of all u, v >= 1 in that order.
 
+    Only lattice points with u^2 = 1 - D*v^2 (mod M) are built, where
+    M = L when L <= _RESIDUE_TABLE_MAX and M = 1 otherwise.  The residue
+    table sorts u^2 mod M over u in [0, M) once (uint16 keys, so numpy
+    radix-sorts them); for each row v, searchsorted finds the residues r
+    whose square is 1 - D*v^2 mod M, with D reduced mod M first, and the
+    row yields u = r + j*M in its u-range.  For M = L those points are
+    exactly the congruent ones.  For M = 1 the table is the single
+    residue 0 and every point is built, so the p = 1 (mod L) filter
+    that follows does the work.
+
     Walks annuli lo < p <= hi.  `below` counts the representations with
-    p <= lo, so a point's rank is `below` plus its place in its annulus,
-    and the annulus that crosses `limit` keeps only its (limit - below)
-    smallest (p, u).  Each annulus tries to double hi, then halves its
-    width while its lattice count exceeds _ANNULUS_POINTS.  Halving,
+    p <= lo, congruent or not, so a point's rank is `below` plus its
+    place in its annulus.  Each annulus tries to double hi, then halves
+    its width while its lattice count exceeds _ANNULUS_POINTS.  Halving,
     unlike a cut in proportion to the count, also crosses the empty gap
-    below 1 + D in few steps when D is large.
+    below 1 + D in few steps when D is large.  The annulus that crosses
+    `limit` is cut by counting, not by building: _rank_cut finds the
+    (limit - below)-th smallest (p_k, u_k), the annulus ends at p_k, and
+    of the points at p_k only those with u <= u_k are kept.
 
     _row_bounds builds a row for every v <= sqrt(hi/D), so the first hi
     is capped at D * _ANNULUS_POINTS**2: memory stays bounded however
     large L or `limit` is.
     """
+    M = L if L <= _RESIDUE_TABLE_MAX else 1
+    squares = (np.arange(M, dtype=np.int64) ** 2 % M).astype(np.uint16)
+    roots = np.argsort(squares, kind="stable")
+    squares = squares[roots]
     lo, below, hi = 0, 0, max(64, min(4 * L, D * _ANNULUS_POINTS ** 2))
     while below < limit:
         v, u_lo, counts = _row_bounds(D, lo, hi)
@@ -246,19 +288,25 @@ def _congruent_representations(D: int, L: int,
             hi = lo + (hi - lo) // 2
             v, u_lo, counts = _row_bounds(D, lo, hi)
         size = int(counts.sum())
-        offsets = np.cumsum(counts) - counts - u_lo - 1
-        u = np.arange(size) - np.repeat(offsets, counts)
-        v = np.repeat(v, counts)
-        p = u * u + D * v * v
-        keep = p % L == 1
+        u_cut = None
         if below + size > limit:
-            k = limit - below
-            pk = np.partition(p, k - 1)[k - 1]
-            tied = np.sort(u[p == pk])
-            u_cut = tied[k - 1 - np.count_nonzero(p < pk)]
-            keep &= (p < pk) | ((p == pk) & (u <= u_cut))
-        p, u, v = p[keep], u[keep], v[keep]
-        keep = np.gcd(u, D) == 1
+            hi, u_cut = _rank_cut(D, lo, hi, limit - below)
+            v, u_lo, counts = _row_bounds(D, lo, hi)
+        vm = (v % M).astype(np.int64)
+        target = ((1 - (D % M) * (vm * vm % M)) % M).astype(np.uint16)
+        first = np.searchsorted(squares, target, side="left")
+        n_roots = np.searchsorted(squares, target, side="right") - first
+        row = np.repeat(np.arange(len(v)), n_roots)
+        r = roots[_ragged_arange(first, n_roots)]
+        # the smallest u > u_lo with u = r (mod M), and how many fit
+        u0 = u_lo[row] + 1 + (r - u_lo[row] - 1) % M
+        n_u = (((u_lo + counts)[row] - u0) // M + 1).astype(np.int64)
+        u = _ragged_arange(u0, n_u, M)
+        v = np.repeat(v[row], n_u)
+        p = u * u + D * v * v
+        keep = (p % L == 1) & (np.gcd(u, D) == 1)
+        if u_cut is not None:
+            keep &= (p < hi) | (u <= u_cut)
         p, u, v = p[keep], u[keep], v[keep]
         order = np.lexsort((u, p))
         yield from zip(p[order].tolist(), u[order].tolist(), v[order].tolist())
@@ -274,7 +322,9 @@ def weber_reject(b: int, c: int, bound: int, *,
     how many are examined.  `max_enumerated` caps the rank of a
     representation among all u^2 + b'c'v^2 with u, v >= 1 in that order,
     congruent or not: only representations of rank <= max_enumerated are
-    considered, although only the congruent ones are generated.  For
+    considered, and the ranks are counted without building the points.
+    When lcm(a,b,c) <= 2^16, only the congruent points are generated;
+    above that, every point is built and then filtered.  For
     each, the two predicted pairs are tested against b | y^2-1 and
     c | z^2-1.  When exactly one passes, the representation count at
     index (p-1)/a is odd while a*k+1 = p is prime, hence non-square:

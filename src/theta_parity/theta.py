@@ -4,9 +4,9 @@ f_m is the series whose q^k coefficient is 1 exactly when m*k + 1 is a
 perfect square.  Those squares are y^2 with y^2 = 1 (mod m), so the
 support is built in numpy from the square roots r of 1 mod m: every y is
 r plus a multiple of m.  The cost is O(min(m, sqrt(m*N))) for the roots
-plus O(|support|), which is what makes N = 10^9 supports cheap.  The
-arithmetic is int64, exact for m*N < 2^63; larger inputs raise
-ValueError.
+plus O(|support|), which is what makes N = 10^9 supports cheap; when N
+is smaller still, the N indices are tested directly.  The arithmetic is
+int64, exact for m*N < 2^63; larger inputs raise ValueError.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ from typing import Optional
 import numpy as np
 
 from .gf2series import Gf2Series
+from .numth import _isqrt_array
 
 # Exponents a with (q;q)_inf^a congruent to f_{24/a} mod 2.  Other
 # exponents are rejected rather than extrapolated.
 EULER_JACOBI_EXPONENTS = (1, 2, 3, 4, 6)
 
 _INT64_LIMIT = 1 << 63
-# Candidate roots scanned per numpy step; bounds the scan's memory.
+# Candidate roots (or indices) scanned per numpy step; bounds the scan's
+# memory.
 _ROOT_CHUNK = 1 << 16
 
 
@@ -35,8 +37,10 @@ def theta_support(m: int, n_terms: int) -> tuple:
     by a numpy scan in chunks of _ROOT_CHUNK, so memory stays
     O(chunk + |support|) however large m is.  Each root lies in [1, m],
     so rows j*m + roots are ascending and their concatenation is sorted
-    and duplicate-free.  Returns Python ints; raises ValueError unless
-    m*N < 2^63, the range where int64 is exact.
+    and duplicate-free.  When N < min(m, lim), fewer indices than roots
+    are candidates, so each k < N is tested directly, in chunks too, by
+    an exact integer square root of m*k + 1.  Returns Python ints;
+    raises ValueError unless m*N < 2^63, the range where int64 is exact.
     """
     if m < 1 or n_terms < 1:
         raise ValueError("m and n_terms must be positive")
@@ -44,6 +48,14 @@ def theta_support(m: int, n_terms: int) -> tuple:
         raise ValueError("m*n_terms must be below 2^63")
     lim = isqrt(m * n_terms)  # y^2 <= m*N  <=>  k < N
     top = min(m, lim)
+    if n_terms < top:
+        support = []
+        for lo in range(0, n_terms, _ROOT_CHUNK):
+            k = np.arange(lo, min(lo + _ROOT_CHUNK, n_terms), dtype=np.int64)
+            x = m * k + 1
+            y = _isqrt_array(x)
+            support.extend(k[y * y == x].tolist())
+        return tuple(support)
     roots = []
     for lo in range(1, top + 1, _ROOT_CHUNK):
         r = np.arange(lo, min(lo + _ROOT_CHUNK, top + 1), dtype=np.int64)

@@ -1,11 +1,14 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_parity.numth import (ResidueClass, is_prime, is_square, jacobi,
-                                primes_in_class, squarefree_part, vp)
+from theta_parity.numth import (_MR_BASES, _MR_BOUND, _MR_PSI, ResidueClass,
+                                _isqrt_array, is_prime, is_square, jacobi, primes_in_class,
+                                squarefree_part, vp)
 
 
 def test_is_square_examples():
@@ -124,6 +127,71 @@ def test_is_prime_rejects_values_beyond_deterministic_bound():
     for n in (psi12, psi12 + 2, 10 ** 30):
         with pytest.raises(ValueError):
             is_prime(n)
+
+
+def test_isqrt_array_exact_over_int64():
+    # around squares up to isqrt(2^63 - 1) = 3037000499, where (s + 1)^2
+    # no longer fits in int64, and at random values up to 2^63 - 1
+    rng = random.Random(13)
+    roots = [1, 2, 3, 2 ** 31, 3037000498, 3037000499] + [
+        rng.randrange(1, 3037000500) for _ in range(2000)]
+    xs = [x for k in roots for x in (k * k - 1, k * k, k * k + 1)
+          if x < 2 ** 63]
+    xs += [0, 2 ** 62, 2 ** 63 - 2, 2 ** 63 - 1] + [
+        rng.randrange(2 ** 63) for _ in range(2000)]
+    got = _isqrt_array(np.array(xs, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [math.isqrt(x) for x in xs]
+
+
+def twelve_base_is_prime(n):
+    """Oracle: Miller-Rabin with all twelve bases, whatever n is."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_psi_table_pseudoprimes_are_composite():
+    # psi_k passes the first k bases, so each one needs the next base
+    assert _MR_PSI[-1] == _MR_BOUND
+    assert list(_MR_PSI) == sorted(_MR_PSI)
+    for psi in _MR_PSI:
+        if psi < _MR_BOUND:
+            assert not is_prime(psi), psi
+            assert not twelve_base_is_prime(psi), psi
+
+
+def test_is_prime_matches_sieve_below_1e6():
+    n = 10 ** 6
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    assert [k for k in range(n) if is_prime(k)] == np.flatnonzero(sieve).tolist()
+
+
+def test_is_prime_matches_twelve_bases_on_large_random_values():
+    rng = random.Random(7)
+    for _ in range(20000):
+        n = rng.randrange(10 ** 12, 10 ** 20)
+        assert is_prime(n) == twelve_base_is_prime(n), n
 
 
 def test_primes_in_class_examples():

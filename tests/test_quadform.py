@@ -3,9 +3,12 @@ import random
 import tracemalloc
 from itertools import islice
 from math import gcd, isqrt, lcm
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from theta_parity import quadform
 from theta_parity.classify import (WEBER_BOUND, WEBER_MAX_ENUMERATED,
@@ -337,6 +340,61 @@ def test_congruent_representations_small_annuli_and_wide_values(monkeypatch):
         reps = list(islice(_ascending_representations(D), limit))
         assert (list(_congruent_representations(D, L, limit))
                 == heap_congruent(reps, D, L, limit)), (D, L, limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(D=st.integers(1, 300),
+       L=st.one_of(st.integers(1, 3000),
+                   st.sampled_from([55440, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
+                                    65537 * 2, 720720])),
+       limit=st.integers(0, 5000),
+       annulus=st.sampled_from([64, 1 << 18]))
+@example(D=1, L=55440, limit=5000, annulus=64)   # 64 roots of each unit
+@example(D=1, L=2 ** 16, limit=5000, annulus=64)  # the largest residue table
+@example(D=2, L=2 ** 16 + 1, limit=5000, annulus=1 << 18)  # M = 1
+def test_congruent_representations_property_matches_heap(D, L, limit, annulus):
+    # L on both sides of the residue table's limit 2^16; a small annulus
+    # cap puts the rank cut in one of many annuli
+    reps = list(islice(_ascending_representations(D), limit))
+    with mock.patch.object(quadform, "_ANNULUS_POINTS", annulus):
+        got = list(_congruent_representations(D, L, limit))
+    assert got == heap_congruent(reps, D, L, limit)
+
+
+def test_congruent_representations_beyond_int64():
+    # D = b'c' past 2^63 comes with L >= D (as in weber_reject), so the
+    # walk runs in Python integers with M = 1; L = u0^2 + D - 1 makes the
+    # row v = 1 congruent at u0
+    D = 2 ** 64 + 1
+    for u0, limit in ((7, 300), (200, 300), (200, 150)):
+        L = u0 * u0 + D - 1
+        reps = list(islice(_ascending_representations(D), limit))
+        got = list(_congruent_representations(D, L, limit))
+        assert got == heap_congruent(reps, D, L, limit), (u0, limit)
+        assert got == ([(u0 * u0 + D, u0, 1)] if u0 <= limit else [])
+
+
+def test_congruent_representations_cut_between_tied_values():
+    # 25 = 3^2 + 4^2 = 4^2 + 3^2 are representations 14 and 15 of D = 1,
+    # and the only ones = 1 (mod 24) among the first 15
+    reps = list(islice(_ascending_representations(1), 15))
+    assert reps[12:] == [(20, 4, 2), (25, 3, 4), (25, 4, 3)]
+    for limit, want in ((13, []), (14, [(25, 3, 4)]),
+                        (15, [(25, 3, 4), (25, 4, 3)])):
+        assert list(_congruent_representations(1, 24, limit)) == want
+        assert heap_congruent(reps, 1, 24, limit) == want
+
+
+def test_weber_reject_walk_memory_tracks_congruent_points():
+    # L = 12144, D = 23: about one lattice point in 8000 is congruent,
+    # and only those are built (building every point peaks near 8 MB)
+    tracemalloc.start()
+    try:
+        assert weber_reject(528, 12144, 12, max_enumerated=300_000) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_congruent_representations_empty_limit():

@@ -1,8 +1,9 @@
+import time
 import tracemalloc
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from theta_parity.gf2series import Gf2Series
@@ -43,6 +44,29 @@ def test_theta_support_property_matches_scan_oracle(m, n_terms):
     sup = theta_support(m, n_terms)
     assert list(sup) == scan_support(m, n_terms)
     assert all(type(k) is int for k in sup)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2000), st.integers(1, 10 ** 5), st.integers(0, 2000))
+@example(1, 10 ** 5, 0)   # m = 10^10 + 2 with 1 in the support
+@example(5, 1, 0)         # m = 7: N = 6 < min(7, 6) fails, the root scan runs
+def test_theta_support_with_m_above_n_matches_scan_oracle(k0, r, extra):
+    # m = r*(r*k0 + 2) makes m*k0 + 1 = (r*k0 + 1)^2, so k0 < N is in the
+    # support; m > N takes the direct test of the N indices unless
+    # isqrt(m*N) = N
+    m, n_terms = r * (r * k0 + 2), k0 + 1 + extra
+    assume(m > n_terms)
+    sup = theta_support(m, n_terms)
+    assert k0 in sup
+    assert list(sup) == scan_support(m, n_terms)
+    assert all(type(k) is int for k in sup)
+
+
+def test_theta_support_huge_m_returns_quickly():
+    # min(m, isqrt(m*N)) = 2^31 candidate roots, one candidate index
+    t0 = time.perf_counter()
+    assert theta_support(2 ** 62, 1) == (0,)
+    assert time.perf_counter() - t0 < 0.5
 
 
 @pytest.mark.parametrize("m, n_terms", [

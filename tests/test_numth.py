@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_parity.numth import (_MR_BASES, _MR_BOUND, _MR_PSI, ResidueClass,
-                                _isqrt_array, is_prime, is_square, jacobi, primes_in_class,
-                                squarefree_part, vp)
+                                _isqrt_array, is_prime, is_square, jacobi,
+                                primes_in_class, squarefree_part, vp)
 
 
 def test_is_square_examples():

@@ -349,7 +349,7 @@ def test_congruent_representations_small_annuli_and_wide_values(monkeypatch):
                                     65537 * 2, 720720])),
        limit=st.integers(0, 5000),
        annulus=st.sampled_from([64, 1 << 18]))
-@example(D=1, L=55440, limit=5000, annulus=64)   # 64 roots of each unit
+@example(D=1, L=55440, limit=5000, annulus=64)   # 64 roots of each square unit
 @example(D=1, L=2 ** 16, limit=5000, annulus=64)  # the largest residue table
 @example(D=2, L=2 ** 16 + 1, limit=5000, annulus=1 << 18)  # M = 1
 def test_congruent_representations_property_matches_heap(D, L, limit, annulus):

@@ -23,9 +23,10 @@ one read lower than each other one (ties count for neither).
 The north-star figures are timed once per checkout, each in a fresh
 interpreter, with that process's maximum resident set size:
 partition_parity(10^7), bm_first_failure(6, 8, 10^7),
-verify_triple(4, 6, 12, 10^7) and theta_support(552, 10^9).  So is the
-Tier-1 test suite, run as TIER1 with the checkout's src on PYTHONPATH:
-its wall time, exit code and pytest's summary line.
+verify_triple(4, 6, 12, 10^7), theta_support(552, 10^9) and
+brute_search(1000, 2000), the size of CI's brute-force cross-check.
+So is the Tier-1 test suite, run as TIER1 with the checkout's src on
+PYTHONPATH: its wall time, exit code and pytest's summary line.
 """
 
 import argparse
@@ -57,6 +58,9 @@ NORTH_STAR = {
     "theta_support(552, 10^9)":
         "from theta_parity.theta import theta_support\n"
         "result = len(theta_support(552, 10 ** 9))",
+    "brute_search(1000, 2000)":
+        "from theta_parity.classify import brute_search\n"
+        "result = len(brute_search(1000, 2000))",
 }
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]

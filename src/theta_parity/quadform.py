@@ -208,8 +208,10 @@ _RESIDUE_TABLE_MAX = 1 << 16
 
 def _row_bounds(D: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per v >= 1: v, u_lo and the number of u in (u_lo, u_hi], the
-    u-range with lo < u^2 + D*v^2 <= hi."""
-    dtype = np.int64 if hi < _INT64_SAFE else object
+    u-range with lo < u^2 + D*v^2 <= hi.  Python integers (object
+    dtype) once D or hi reaches _INT64_SAFE: D*v^2 overflows int64 for a
+    large D even when no row fits below hi."""
+    dtype = np.int64 if max(D, hi) < _INT64_SAFE else object
     v = np.arange(1, isqrt((hi - 1) // D) + 1).astype(dtype)
     dv2 = D * v * v
     u_lo = _isqrt_array(np.maximum(lo - dv2, 0))

@@ -10,6 +10,7 @@ from theta_parity.classify import (SPORADIC_TRIPLES, Triple,
                                    enumerate_candidates, family_criterion,
                                    run_classification, theorem_prediction,
                                    verify_triple)
+from theta_parity.gf2series import Gf2Series
 from theta_parity.numth import is_square, vp
 from theta_parity.quadform import repcount
 from theta_parity.theta import theta_series
@@ -192,6 +193,40 @@ def test_brute_search_builds_each_theta_series_once(monkeypatch):
     assert brute_search(40, 2000) == theorem_prediction(40)
     assert set(range(1, 41)) <= set(calls)
     assert max(calls.values()) == 1
+
+
+# At 255 and 256 terms the window is the whole series; at 257 the
+# window ends one coefficient short of it.
+@pytest.mark.parametrize("n_terms", [255, 256, 257])
+def test_brute_search_matches_reference_at_window_edge(n_terms):
+    assert classify.BRUTE_WINDOW == 256
+    assert brute_search(60, n_terms) == reference_brute_search(60, n_terms)
+
+
+# A 16-term window leaves k2 beyond it on hundreds of pairs, so their
+# k1 and k2 come from the full product.
+@pytest.mark.parametrize("bound, n_terms", [(60, 255), (40, 2000), (50, 9)])
+def test_brute_search_matches_reference_with_small_window(
+        monkeypatch, bound, n_terms):
+    monkeypatch.setattr(classify, "BRUTE_WINDOW", 16)
+    assert (brute_search(bound, n_terms)
+            == reference_brute_search(bound, n_terms))
+
+
+def test_brute_search_forms_full_products_only_for_matches(monkeypatch):
+    lengths = Counter()
+    mul = Gf2Series.mul
+
+    def counting_mul(self, other):
+        lengths[self.n_terms] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Gf2Series, "mul", counting_mul)
+    found = brute_search(40, 2000)
+    assert found == theorem_prediction(40)
+    # one full product per triple found; 820 pairs would form 820
+    assert lengths[2000] <= 2 * len(found)
+    assert lengths[classify.BRUTE_WINDOW] == 40 * 41 // 2
 
 
 def test_brute_search_validation():

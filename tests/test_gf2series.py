@@ -222,8 +222,10 @@ def test_mul_kernel_follows_n_terms(monkeypatch):
         run()
         return set(calls)
 
-    # brute's short products and the prefilter take the Python-int comb
-    assert kernels(lambda: classify.brute_search(24, 2000)) == {("_mul_comb", 2000)}
+    # brute's window and full products and the prefilter take the
+    # Python-int comb
+    assert kernels(lambda: classify.brute_search(24, 2000)) == {
+        ("_mul_comb", classify.BRUTE_WINDOW), ("_mul_comb", 2000)}
     assert kernels(lambda: classify.verify_triple(
         4, 6, 12, classify.PREFILTER_TERMS)) == {("_mul_comb", 4096)}
     # the switch is at _WORDS_MIN_TERMS terms

@@ -374,6 +374,19 @@ def test_congruent_representations_beyond_int64():
         assert got == ([(u0 * u0 + D, u0, 1)] if u0 <= limit else [])
 
 
+def test_congruent_representations_large_D_below_int64_limit():
+    # D past 2^63 while the first annuli end below 2^62: D*v^2 must not
+    # reach int64.  The first `limit` points have u, v <= limit, so a
+    # plain sort of that square is the oracle.
+    D, limit = 2 ** 64 + 1, 10
+    points = sorted((u * u + D * v * v, u, v) for u in range(1, limit + 1)
+                    for v in range(1, limit + 1))[:limit]
+    for L in (2, 5, 24):
+        want = [(p, u, v) for p, u, v in points
+                if p % L == 1 and gcd(u, D) == 1]
+        assert list(_congruent_representations(D, L, limit)) == want, L
+
+
 def test_congruent_representations_cut_between_tied_values():
     # 25 = 3^2 + 4^2 = 4^2 + 3^2 are representations 14 and 15 of D = 1,
     # and the only ones = 1 (mod 24) among the first 15

@@ -19,8 +19,7 @@ from functools import cache
 from math import gcd
 from typing import Optional
 
-from .gf2series import Gf2Series
-from .numth import divisors, egyptian_a, is_square, vp
+from .numth import divisors, egyptian_a, vp
 from .quadform import WeberCertificate, weber_reject
 from .theta import theta_series, theta_support
 
@@ -255,73 +254,71 @@ def theorem_prediction(bound: int) -> list[Triple]:
     return sorted(out)
 
 
-# brute_search decides each pair on this many low coefficients first and
-# builds a pair's full product only when some f_a matches it there.  At
-# bound 200, 2000 terms, 64 terms left 8,635 full products, 128 left
-# 4,622, 256 left 72 and 512 left 46; 256 was the fastest (medians
-# of 15 interleaved runs on 2 cores).
-BRUTE_WINDOW = 256
-
-
 def brute_search(bound: int, n_terms: int) -> list[Triple]:
     """All (b <= c <= bound) admitting some integer a with f_a = f_b*f_c
     below n_terms, found without using the necessary-condition filters.
 
     For each pair the product's two smallest nonzero support indices
     k1 < k2 pin the possible a: a*k1 + 1 and a*k2 + 1 must both be
-    squares.  Candidates up to 4*n_terms (any true match has a < b, far
-    below) are checked in ascending order by full series equality, and
-    the first match is kept.
+    squares, so, as that is symmetric in a and k, the candidates are the
+    ascending intersection of the supports of f_k1 and f_k2 up to
+    4*n_terms (any true match has a < b, far below).  They are checked in
+    ascending order by full series equality, and the first match is kept.
 
-    Each pair is first decided on its window, the low t =
-    min(BRUTE_WINDOW, n_terms) coefficients, where the product is the
-    product of the factors' windows.  k1 and k2 are read from it when
-    both lie inside; otherwise (and for the empty support) they come from
-    the full product, as without a window.  A candidate a whose window
-    differs from the product's cannot equal it in full, so it is skipped
-    without a full comparison.  The full product is formed at most once
-    per pair, only when some a matches the window, and each match is
-    confirmed by full equality.  So the candidates that reach the full
-    comparison are the same in the same ascending order, and the first
-    match is the same a.  When n_terms <= BRUTE_WINDOW the window product
-    is the full product.
+    The low coefficients of the product need no multiply.  Mod 2,
+    f_b*f_c = f_b + f_c + 1 + (f_b + 1)*(f_c + 1), and the last term
+    starts at x + y, where x and y are the first positive indices of f_b
+    and f_c.  So below cut = min(x + y, n_terms) the product is
+    f_b + f_c + 1; a factor with no positive index below n_terms is 1,
+    the product is the other factor, and cut = n_terms.  k1 and k2 are
+    read from those bits when both lie below the cut.  Otherwise (b = c,
+    x = y, or the sum has too few indices) they come from the full
+    product.  A candidate a whose f_a differs below the cut cannot equal
+    the product, so it is skipped without a full comparison.  The full
+    product is formed at most once per pair, and each match is confirmed
+    by full equality.
 
-    Four caches local to the call do each piece of work once: f_m per m,
-    its window (cut from the bits of that f_m) per m, the a with
-    a*k1 + 1 square per k1, and those with a*k2 + 1 square too per
-    (k1, k2).  Nothing is kept between calls.
+    Four caches local to the call do each piece of work once: f_m and
+    its first positive index per m, the support of f_k past a = 0 per k,
+    and the candidates per (k1, k2).  Nothing is kept between calls.
     """
     if bound < 4 or n_terms < 8:
         raise ValueError("need bound >= 4 and n_terms >= 8")
     a_cap = 4 * n_terms
-    t = min(BRUTE_WINDOW, n_terms)
     theta = cache(lambda m: theta_series(m, n_terms))
-    window = cache(lambda m: Gf2Series(t, theta(m).bits & ((1 << t) - 1)))
-    roots = cache(lambda k1: theta_support(k1, a_cap + 1)[1:])  # drop a = 0
-    candidates = cache(lambda k1, k2: [
-        a for a in roots(k1) if k2 is None or is_square(a * k2 + 1) is not None])
+    roots = cache(lambda k: theta_support(k, a_cap + 1)[1:])  # drop a = 0
+    candidates = cache(lambda k1, k2: roots(k1) if k2 is None else
+                       sorted(set(roots(k1)).intersection(roots(k2))))
+
+    @cache
+    def first(m):  # f_m's first positive index, n_terms if none
+        support = theta(m).support
+        return support[1] if len(support) > 1 else n_terms
 
     found = []
     for b in range(1, bound + 1):
+        fb, x = theta(b), first(b)
         for c in range(b, bound + 1):
-            win = window(b).mul(window(c))
-            prod = win if t == n_terms else None
-            rest = win.bits >> 1  # bit j is the coefficient at j + 1
-            if (rest & (rest - 1)) == 0 and prod is None:
-                # fewer than two nonzero indices in the window
-                prod = theta(b).mul(theta(c))
+            fc = theta(c)
+            mask = (1 << min(x + first(c), n_terms)) - 1
+            low = (fb.bits ^ fc.bits ^ 1) & mask
+            prod = None
+            rest = low >> 1  # bit j is the coefficient at j + 1
+            if (rest & (rest - 1)) == 0:
+                # fewer than two nonzero indices below the cut
+                prod = fb.mul(fc)
                 rest = prod.bits >> 1
             if not rest:
                 continue
-            low = rest & -rest
-            k1 = low.bit_length()
-            rest ^= low
+            bit = rest & -rest
+            k1 = bit.bit_length()
+            rest ^= bit
             k2 = (rest & -rest).bit_length() if rest else None
             for a in candidates(k1, k2):
-                if window(a) != win:
+                if (theta(a).bits & mask) != low:
                     continue
                 if prod is None:
-                    prod = theta(b).mul(theta(c))
+                    prod = fb.mul(fc)
                 if theta(a) == prod:
                     found.append(Triple(a, b, c))
                     break

@@ -4,7 +4,8 @@ Every subcommand prints one JSON object per line (command echo, inputs,
 status, payload) to stdout, or to FILE with --out FILE.  Exit codes: 0
 on success, 1 when a checked claim fails (a witness was found where
 none was expected), 2 on usage errors, including arguments a command
-rejects as out of range.  Diagnostics go to stderr.
+rejects as out of range and an --out FILE that cannot be written.
+Diagnostics go to stderr.
 
 Commands that check a set of claims print one record per claim and
 exit 1 if any fails: `euler-jacobi` without --a checks every exponent,
@@ -281,10 +282,10 @@ def dispatch(argv: list[str]) -> int:
                  and v is not None}
     try:
         records, code = args.fn(args)
-    except ValueError as exc:
+        _emit(records, args)
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"{args.command}: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    _emit(records, args)
     return code
 
 

@@ -11,8 +11,8 @@ shifted by s.  So both cost one pass over about N/64 machine words per
 term, and mul() chooses between them by N alone:
 
   * below _WORDS_MIN_TERMS, a Python-int comb: acc ^= dense_bits << s.
-    Its per-term overhead is the lowest, which suits the many short
-    products of brute_search and the prefilter.
+    Its per-term overhead is the lowest, which suits short products:
+    the prefilter's at 4096 terms and brute_search's at a few thousand.
   * at or above it, a numpy uint64 word comb: the denser operand is
     shifted by each residue s mod 64 once, then xored in place into the
     output at word offset s >> 6.  It allocates no N-bit int per term,
@@ -80,10 +80,6 @@ class Gf2Series:
         return cls(n_terms, int.from_bytes(buf, "little"), tuple(indices))
 
     @classmethod
-    def zero(cls, n_terms: int) -> "Gf2Series":
-        return cls(n_terms, 0, ())
-
-    @classmethod
     def one(cls, n_terms: int) -> "Gf2Series":
         return cls(n_terms, 1, (0,))
 
@@ -107,18 +103,10 @@ class Gf2Series:
             raise IndexError(f"coefficient index {k} outside [0, {self.n_terms})")
         return (self._bits >> k) & 1
 
-    def is_zero(self) -> bool:
-        return self._bits == 0
-
     def _check_same_length(self, other: "Gf2Series"):
         if self.n_terms != other.n_terms:
             raise ValueError(
                 f"truncation mismatch: {self.n_terms} vs {other.n_terms}")
-
-    def add(self, other: "Gf2Series") -> "Gf2Series":
-        """Coefficient-wise XOR."""
-        self._check_same_length(other)
-        return Gf2Series(self.n_terms, self._bits ^ other._bits)
 
     def mul(self, other: "Gf2Series") -> "Gf2Series":
         """Truncated product: coefficient k is the pair-sum parity below N."""

@@ -171,12 +171,15 @@ def test_brute_search_results_satisfy_known_necessities():
 
 
 # At n_terms 8 and 9 hundreds of pairs match some f_a by truncation
-# coincidence; those cases pin the first match in ascending a.  The
-# oracle's a_cap stays None, its default 4*n_terms, which is the cap
-# brute_search always uses.
+# coincidence; those cases pin the first match in ascending a.  At
+# (40, 2000), 102 pairs have fewer than two nonzero indices below the
+# cut, so their k1 and k2 come from the full product.  The oracle's
+# a_cap stays None, its default 4*n_terms, which is the cap brute_search
+# always uses.
 @pytest.mark.parametrize("bound, n_terms, a_cap", [
     (4, 100, None), (40, 2000, None), (60, 40, None), (100, 500, None),
-    (120, 3000, None), (30, 8, None), (50, 9, None)])
+    (120, 3000, None), (30, 8, None), (50, 9, None), (60, 255, None),
+    (60, 256, None), (60, 257, None)])
 def test_brute_search_matches_reference(bound, n_terms, a_cap):
     assert (brute_search(bound, n_terms)
             == reference_brute_search(bound, n_terms, a_cap))
@@ -195,38 +198,20 @@ def test_brute_search_builds_each_theta_series_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
-# At 255 and 256 terms the window is the whole series; at 257 the
-# window ends one coefficient short of it.
-@pytest.mark.parametrize("n_terms", [255, 256, 257])
-def test_brute_search_matches_reference_at_window_edge(n_terms):
-    assert classify.BRUTE_WINDOW == 256
-    assert brute_search(60, n_terms) == reference_brute_search(60, n_terms)
-
-
-# A 16-term window leaves k2 beyond it on hundreds of pairs, so their
-# k1 and k2 come from the full product.
-@pytest.mark.parametrize("bound, n_terms", [(60, 255), (40, 2000), (50, 9)])
-def test_brute_search_matches_reference_with_small_window(
-        monkeypatch, bound, n_terms):
-    monkeypatch.setattr(classify, "BRUTE_WINDOW", 16)
-    assert (brute_search(bound, n_terms)
-            == reference_brute_search(bound, n_terms))
-
-
-def test_brute_search_forms_full_products_only_for_matches(monkeypatch):
-    lengths = Counter()
+def test_brute_search_forms_fewer_products_than_pairs(monkeypatch):
+    calls = Counter()
     mul = Gf2Series.mul
 
     def counting_mul(self, other):
-        lengths[self.n_terms] += 1
+        calls[self.n_terms] += 1
         return mul(self, other)
 
     monkeypatch.setattr(Gf2Series, "mul", counting_mul)
-    found = brute_search(40, 2000)
-    assert found == theorem_prediction(40)
-    # one full product per triple found; 820 pairs would form 820
-    assert lengths[2000] <= 2 * len(found)
-    assert lengths[classify.BRUTE_WINDOW] == 40 * 41 // 2
+    assert brute_search(40, 2000) == theorem_prediction(40)
+    # below the cut the product is f_b + f_c + 1, so most of the 820
+    # pairs are decided without a multiply
+    assert set(calls) == {2000}
+    assert calls[2000] < 40 * 41 // 2
 
 
 def test_brute_search_validation():

@@ -192,6 +192,8 @@ _REJECTED = {
     ("lemma-sols", "--bp", "1", "--cp", "2", "--target", "33", "--u", "3"):
         "--u and --v must be given together",
     ("bm", "--a", "6", "--max", "10"): "--a and --b must be given together",
+    ("series", "--m", "4", "--terms", "13", "--out", "/missing-dir/x"):
+        "/missing-dir/x",
 }
 
 

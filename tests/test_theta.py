@@ -163,3 +163,27 @@ def test_euler_jacobi_check_small():
 def test_theta_series_round_trip():
     s = theta_series(6, 300)
     assert s.support == theta_support(6, 300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(8, 3000))
+@example(7, 7, 2000)      # b = c: the sum is 1 below the cut
+@example(1, 300, 8)       # f_300 has no positive index below 8
+@example(299, 300, 8)     # neither factor has one
+def test_theta_product_is_sum_plus_one_below_first_indices(b, c, n):
+    # Mod 2, f_b*f_c = f_b + f_c + 1 + (f_b + 1)*(f_c + 1), and the last
+    # term starts at x + y, the sum of the first positive indices.
+    # brute_search reads the product's low coefficients from this.
+    fb, fc = theta_series(b, n), theta_series(c, n)
+    prod = fb.mul(fc)
+    total = fb.bits ^ fc.bits ^ 1
+    if len(fb.support) == 1 or len(fc.support) == 1:
+        # a factor is 1 below n, so the product is the other factor
+        assert prod == (fc if len(fb.support) == 1 else fb)
+        assert prod.bits == total
+        return
+    x, y = fb.support[1], fc.support[1]
+    cut = min(x + y, n)
+    assert prod.bits & ((1 << cut) - 1) == total & ((1 << cut) - 1)
+    if x + y < n:
+        assert prod.coeff(x + y) != (total >> (x + y)) & 1

@@ -19,6 +19,7 @@ from functools import cache
 from math import gcd
 from typing import Optional
 
+from .gf2series import Gf2Series
 from .numth import divisors, egyptian_a, vp
 from .quadform import WeberCertificate, weber_reject
 from .theta import theta_series, theta_support
@@ -254,6 +255,14 @@ def theorem_prediction(bound: int) -> list[Triple]:
     return sorted(out)
 
 
+def first_positive(series: Gf2Series) -> int:
+    """The first positive support index of a series with constant term 1,
+    its n_terms if it has none.  brute_search cuts each pair's product at
+    the sum of its factors' values; any smaller cut is also exact."""
+    support = series.support
+    return support[1] if len(support) > 1 else series.n_terms
+
+
 def brute_search(bound: int, n_terms: int) -> list[Triple]:
     """All (b <= c <= bound) admitting some integer a with f_a = f_b*f_c
     below n_terms, found without using the necessary-condition filters.
@@ -290,11 +299,7 @@ def brute_search(bound: int, n_terms: int) -> list[Triple]:
     candidates = cache(lambda k1, k2: roots(k1) if k2 is None else
                        sorted(set(roots(k1)).intersection(roots(k2))))
 
-    @cache
-    def first(m):  # f_m's first positive index, n_terms if none
-        support = theta(m).support
-        return support[1] if len(support) > 1 else n_terms
-
+    first = cache(lambda m: first_positive(theta(m)))
     found = []
     for b in range(1, bound + 1):
         fb, x = theta(b), first(b)

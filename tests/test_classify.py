@@ -178,8 +178,7 @@ def test_brute_search_results_satisfy_known_necessities():
 # always uses.
 @pytest.mark.parametrize("bound, n_terms, a_cap", [
     (4, 100, None), (40, 2000, None), (60, 40, None), (100, 500, None),
-    (120, 3000, None), (30, 8, None), (50, 9, None), (60, 255, None),
-    (60, 256, None), (60, 257, None)])
+    (120, 3000, None), (30, 8, None), (50, 9, None)])
 def test_brute_search_matches_reference(bound, n_terms, a_cap):
     assert (brute_search(bound, n_terms)
             == reference_brute_search(bound, n_terms, a_cap))
@@ -196,6 +195,28 @@ def test_brute_search_builds_each_theta_series_once(monkeypatch):
     assert brute_search(40, 2000) == theorem_prediction(40)
     assert set(range(1, 41)) <= set(calls)
     assert max(calls.values()) == 1
+
+
+# Lengths that straddle a multiple of 8 bits: at 255 and 256 the series
+# fills its last byte, at 257 it spills one coefficient into the next.
+@pytest.mark.parametrize("n_terms", [255, 256, 257])
+def test_brute_search_matches_reference_at_window_edge(n_terms):
+    assert brute_search(60, n_terms) == reference_brute_search(60, n_terms)
+
+
+# Capping each factor's first positive index at 8 keeps the cut within
+# 16 terms, where f_b*f_c = f_b + f_c + 1 still holds, so hundreds of
+# pairs take k1 and k2 from the full product (1507 of 1830 at (60, 255),
+# 353 uncapped) and the skip of candidates that differ below the cut runs
+# on short masks.  At (50, 9) the series is shorter than the cap's cut.
+@pytest.mark.parametrize("bound, n_terms", [(60, 255), (40, 2000), (50, 9)])
+def test_brute_search_matches_reference_with_small_window(
+        monkeypatch, bound, n_terms):
+    first_positive = classify.first_positive
+    monkeypatch.setattr(classify, "first_positive",
+                        lambda series: min(first_positive(series), 8))
+    assert (brute_search(bound, n_terms)
+            == reference_brute_search(bound, n_terms))
 
 
 def test_brute_search_forms_fewer_products_than_pairs(monkeypatch):

@@ -125,14 +125,19 @@ def family_criterion(d: int) -> bool:
 
 
 def verify_triple(a: int, b: int, c: int, n_terms: int) -> Certificate:
-    """Compare f_a with f_b*f_c below n_terms."""
+    """Compare f_a with f_b*f_c below n_terms.
+
+    When b == c the product is a square, and mod 2 f_b^2 = f_b(q^2), so
+    it is taken by Frobenius rather than by a multiply.
+    """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
     if b > c:
         b, c = c, b
     triple = Triple(a, b, c)
     fa = theta_series(a, n_terms)
-    prod = theta_series(b, n_terms).mul(theta_series(c, n_terms))
+    fb = theta_series(b, n_terms)
+    prod = fb.square() if b == c else fb.mul(theta_series(c, n_terms))
     return Certificate(triple, n_terms, fa.first_difference(prod))
 
 

@@ -150,6 +150,9 @@ class Gf2Series:
                 g_r[1:] |= words[:-1] >> (64 - r)
             for w in (exps[residues == r] >> 6).tolist():
                 np.bitwise_xor(out[w:], g_r[:n_words - w], out=out[w:])
+        # release the shifted copies before packing out (an empty support
+        # never binds g_r, so they are rebound rather than deleted)
+        words = shifted = g_r = None
         if n & 63:  # clear the bits at and above n
             out[-1] &= (1 << (n & 63)) - 1
         return Gf2Series(n, int.from_bytes(out.tobytes(), "little"))

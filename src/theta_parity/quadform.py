@@ -5,7 +5,9 @@ search.
 The refutation search walks the values u^2 + D*v^2 in ascending order,
 one numpy annulus at a time.  It yields only the representations it can
 use, p = 1 (mod L) with gcd(u, D) = 1, and for L <= 2^16 builds only the
-points with p = 1 (mod L), from a table of the square roots mod L.  The
+points with p = 1 (mod L), from a table of the square roots mod L.  Each
+annulus is sized by the points it builds, not by every lattice point it
+spans, so a search for a dozen primes walks one or two annuli.  The
 other points still count toward the search's ceiling on
 representations, by the row counts of each annulus.
 
@@ -195,9 +197,14 @@ def find_weber_prime(D: int, s: int, t: int, M: int,
     return WeberPrime(best[0], best[1], best[2], D)
 
 
-# An annulus holds at most about this many lattice points, so the walk's
-# memory is bounded however far `limit` reaches.
+# An annulus builds at most about this many points, congruent ones only
+# when L <= _RESIDUE_TABLE_MAX, so the walk's memory is bounded however
+# many lattice points it ranks.
 _ANNULUS_POINTS = 1 << 18
+# The walk's first annulus ends at this multiple of L.  About one lattice
+# point in L is congruent, so the first annulus holds the dozen primes a
+# search examines: each of classify's 47 searches ends within it.
+_FIRST_ANNULUS = 256
 # Below this, u^2 + D*v^2 is exact in int64; beyond it the walk falls
 # back to Python integers.
 _INT64_SAFE = 1 << 62
@@ -249,6 +256,33 @@ def _ragged_arange(start: np.ndarray, count: np.ndarray,
                                              - np.repeat(offsets, count))
 
 
+def _annulus_runs(D: int, lo: int, hi: int, squares: np.ndarray,
+                  roots: np.ndarray) -> tuple[int, np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """The annulus lo < p <= hi as runs of points to build.
+
+    Returns its lattice count and, per row v and root r of 1 - D*v^2
+    mod M (M = len(roots)), the run's v, its smallest u > u_lo with
+    u = r (mod M) and its number n_u of such u in the row's u-range, so
+    n_u.sum() points will be built.  For M = 1 each row is one run.
+    """
+    M = len(roots)
+    v, u_lo, counts = _row_bounds(D, lo, hi)
+    size = int(counts.sum())
+    if M == 1:  # every point is built, without the table's temporaries
+        return size, v, u_lo + 1, counts
+    vm = (v % M).astype(np.int64)
+    target = ((1 - (D % M) * (vm * vm % M)) % M).astype(np.uint16)
+    first = np.searchsorted(squares, target, side="left")
+    n_roots = np.searchsorted(squares, target, side="right") - first
+    row = np.repeat(np.arange(len(v)), n_roots)
+    r = roots[_ragged_arange(first, n_roots)]
+    # the smallest u > u_lo with u = r (mod M), and how many fit
+    u0 = u_lo[row] + 1 + (r - u_lo[row] - 1) % M
+    n_u = (((u_lo + counts)[row] - u0) // M + 1).astype(np.int64)
+    return size, v[row], u0, n_u
+
+
 def _congruent_representations(D: int, L: int,
                                limit: int) -> Iterator[tuple[int, int, int]]:
     """(p, u, v) with p = u^2 + D*v^2, u, v >= 1, p = 1 (mod L) and
@@ -260,51 +294,49 @@ def _congruent_representations(D: int, L: int,
     table sorts u^2 mod M over u in [0, M) once (uint16 keys, so numpy
     radix-sorts them); for each row v, searchsorted finds the residues r
     whose square is 1 - D*v^2 mod M, with D reduced mod M first, and the
-    row yields u = r + j*M in its u-range.  For M = L those points are
-    exactly the congruent ones.  For M = 1 the table is the single
-    residue 0 and every point is built, so the p = 1 (mod L) filter
-    that follows does the work.
+    row yields u = r + j*M in its u-range (_annulus_runs).  For M = L
+    those points are exactly the congruent ones.  For M = 1 the table is
+    the single residue 0 and every point is built, so the p = 1 (mod L)
+    filter that follows does the work.
 
     Walks annuli lo < p <= hi.  `below` counts the representations with
     p <= lo, congruent or not, so a point's rank is `below` plus its
-    place in its annulus.  Each annulus tries to double hi, then halves
-    its width while its lattice count exceeds _ANNULUS_POINTS.  Halving,
-    unlike a cut in proportion to the count, also crosses the empty gap
-    below 1 + D in few steps when D is large.  The annulus that crosses
-    `limit` is cut by counting, not by building: _rank_cut finds the
-    (limit - below)-th smallest (p_k, u_k), the annulus ends at p_k, and
-    of the points at p_k only those with u <= u_k are kept.
+    place in its annulus.  Each annulus is sized by the points it will
+    build, which _annulus_runs counts before building any: it halves its
+    width while that count exceeds _ANNULUS_POINTS.  Halving, unlike a
+    cut in proportion to the count, also crosses the empty gap below
+    1 + D in few steps when D is large.  The first hi is
+    _FIRST_ANNULUS * L, and each later annulus tries to double hi.  The
+    annulus that crosses `limit` is cut by counting, not by building:
+    _rank_cut finds the (limit - below)-th smallest (p_k, u_k), the
+    annulus ends at p_k, and of the points at p_k only those with
+    u <= u_k are kept.
 
-    _row_bounds builds a row for every v <= sqrt(hi/D), so the first hi
-    is capped at D * _ANNULUS_POINTS**2: memory stays bounded however
-    large L or `limit` is.
+    _row_bounds builds a row for every v <= sqrt(hi/D).  The first hi is
+    capped at D * _ANNULUS_POINTS**2 and every later one is at most
+    2*lo, so an annulus has at most _ANNULUS_POINTS rows or about
+    sqrt(2*lo/D), whichever is more: memory stays bounded however large
+    L is, and grows only with the square root of the values `limit`
+    reaches.  Halving cannot bound the rows further, since every annulus
+    above lo has about sqrt(lo/D) of them.
     """
     M = L if L <= _RESIDUE_TABLE_MAX else 1
     squares = (np.arange(M, dtype=np.int64) ** 2 % M).astype(np.uint16)
     roots = np.argsort(squares, kind="stable")
     squares = squares[roots]
-    lo, below, hi = 0, 0, max(64, min(4 * L, D * _ANNULUS_POINTS ** 2))
+    lo, below = 0, 0
+    hi = max(64, min(_FIRST_ANNULUS * L, D * _ANNULUS_POINTS ** 2))
     while below < limit:
-        v, u_lo, counts = _row_bounds(D, lo, hi)
-        while counts.sum() > _ANNULUS_POINTS and hi - lo > 1:
+        size, v, u0, n_u = _annulus_runs(D, lo, hi, squares, roots)
+        while n_u.sum() > _ANNULUS_POINTS and hi - lo > 1:
             hi = lo + (hi - lo) // 2
-            v, u_lo, counts = _row_bounds(D, lo, hi)
-        size = int(counts.sum())
+            size, v, u0, n_u = _annulus_runs(D, lo, hi, squares, roots)
         u_cut = None
         if below + size > limit:
             hi, u_cut = _rank_cut(D, lo, hi, limit - below)
-            v, u_lo, counts = _row_bounds(D, lo, hi)
-        vm = (v % M).astype(np.int64)
-        target = ((1 - (D % M) * (vm * vm % M)) % M).astype(np.uint16)
-        first = np.searchsorted(squares, target, side="left")
-        n_roots = np.searchsorted(squares, target, side="right") - first
-        row = np.repeat(np.arange(len(v)), n_roots)
-        r = roots[_ragged_arange(first, n_roots)]
-        # the smallest u > u_lo with u = r (mod M), and how many fit
-        u0 = u_lo[row] + 1 + (r - u_lo[row] - 1) % M
-        n_u = (((u_lo + counts)[row] - u0) // M + 1).astype(np.int64)
+            _, v, u0, n_u = _annulus_runs(D, lo, hi, squares, roots)
         u = _ragged_arange(u0, n_u, M)
-        v = np.repeat(v[row], n_u)
+        v = np.repeat(v, n_u)
         p = u * u + D * v * v
         keep = (p % L == 1) & (np.gcd(u, D) == 1)
         if u_cut is not None:

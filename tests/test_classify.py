@@ -95,6 +95,20 @@ def test_verify_triple_witness_is_first_disagreement():
     assert repcount(16, 16, k) % 2 != (1 if is_square(8 * k + 1) else 0)
 
 
+def test_verify_triple_squares_equal_factors(monkeypatch):
+    # b == c takes f_b^2 = f_b(q^2) mod 2: the family spot checks' witnesses
+    # equal those of the multiply, and no multiply kernel runs for them
+    n = classify.PREFILTER_TERMS
+    want = {d: theta_series(d // 2, n).first_difference(
+        theta_series(d, n).mul(theta_series(d, n))) for d in range(2, 201, 2)}
+    kernels = []
+    for name in ("_mul_comb", "_mul_words"):
+        monkeypatch.setattr(Gf2Series, name,
+                            lambda self, other, name=name: kernels.append(name))
+    assert {d: verify_triple(d // 2, d, d, n).witness for d in want} == want
+    assert kernels == []
+
+
 def test_enumerate_candidates_contents():
     cands = enumerate_candidates()
     assert Triple(15, 24, 40) in cands

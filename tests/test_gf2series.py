@@ -241,7 +241,9 @@ def test_mul_kernel_follows_n_terms(monkeypatch):
 
 
 def test_long_product_memory_stays_linear():
-    # the word comb holds a few n-bit arrays, not one int64 per pair sum
+    # the word comb holds a few n-bit arrays, not one int64 per pair sum,
+    # and releases its shifted copies before packing the output: about
+    # four n-bit buffers at the peak, where keeping them would make five
     n = 10 ** 6
     f, g = theta_series(6, n), theta_series(12, n)
     tracemalloc.start()
@@ -250,7 +252,7 @@ def test_long_product_memory_stays_linear():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * n // 8
+    assert peak < 9 * n // 16, peak
 
 
 @settings(max_examples=150, deadline=None)

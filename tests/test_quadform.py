@@ -352,6 +352,11 @@ def test_congruent_representations_small_annuli_and_wide_values(monkeypatch):
 @example(D=1, L=55440, limit=5000, annulus=64)   # 64 roots of each square unit
 @example(D=1, L=2 ** 16, limit=5000, annulus=64)  # the largest residue table
 @example(D=2, L=2 ** 16 + 1, limit=5000, annulus=1 << 18)  # M = 1
+# the cap on built points binds in annuli of 60,000 lattice points
+@example(D=23, L=12144, limit=100_000, annulus=8)
+@example(D=5, L=240, limit=5000, annulus=16)  # ... and in several in a row
+@example(D=23, L=12144, limit=1, annulus=1 << 18)  # the first annulus is cut
+@example(D=1, L=12, limit=1, annulus=1 << 18)
 def test_congruent_representations_property_matches_heap(D, L, limit, annulus):
     # L on both sides of the residue table's limit 2^16; a small annulus
     # cap puts the rank cut in one of many annuli
@@ -408,6 +413,42 @@ def test_weber_reject_walk_memory_tracks_congruent_points():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20, peak
+
+
+def test_classify_weber_searches_walk_one_annulus_each(monkeypatch):
+    # sized by the points it builds, each of classify's 47 searches ends in
+    # its first annulus: one _row_bounds call each, plus the bisection of
+    # the four whose annulus crosses the rank limit (sizing annuli by
+    # every lattice point they span took 331 calls)
+    calls = []
+    row_bounds = quadform._row_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return row_bounds(*args)
+
+    monkeypatch.setattr(quadform, "_row_bounds", counted)
+    for t in enumerate_candidates():
+        weber_reject(t.b, t.c, WEBER_BOUND, max_enumerated=WEBER_MAX_ENUMERATED)
+    assert len(calls) < 160, len(calls)
+
+
+def test_congruent_representations_rows_do_not_shrink_annuli(monkeypatch):
+    # past lo = D * cap^2 every annulus has more than cap rows, and halving
+    # cannot change that, so only the built points are capped: with a cap
+    # of 64 the walk to rank 300,000 still takes a few dozen annuli
+    want = list(_congruent_representations(23, 12144, 300_000))
+    calls = []
+    row_bounds = quadform._row_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return row_bounds(*args)
+
+    monkeypatch.setattr(quadform, "_row_bounds", counted)
+    monkeypatch.setattr(quadform, "_ANNULUS_POINTS", 64)
+    assert list(_congruent_representations(23, 12144, 300_000)) == want
+    assert len(calls) < 100, len(calls)
 
 
 def test_congruent_representations_empty_limit():

@@ -415,11 +415,8 @@ def test_weber_reject_walk_memory_tracks_congruent_points():
     assert peak < 2 * 2 ** 20, peak
 
 
-def test_classify_weber_searches_walk_one_annulus_each(monkeypatch):
-    # sized by the points it builds, each of classify's 47 searches ends in
-    # its first annulus: one _row_bounds call each, plus the bisection of
-    # the four whose annulus crosses the rank limit (sizing annuli by
-    # every lattice point they span took 331 calls)
+def count_row_bounds(monkeypatch):
+    """The list each later _row_bounds call appends its arguments to."""
     calls = []
     row_bounds = quadform._row_bounds
 
@@ -428,6 +425,15 @@ def test_classify_weber_searches_walk_one_annulus_each(monkeypatch):
         return row_bounds(*args)
 
     monkeypatch.setattr(quadform, "_row_bounds", counted)
+    return calls
+
+
+def test_classify_weber_searches_walk_one_annulus_each(monkeypatch):
+    # sized by the points it builds, each of classify's 47 searches ends in
+    # its first annulus: one _row_bounds call each, plus the bisection of
+    # the four whose annulus crosses the rank limit (sizing annuli by
+    # every lattice point they span takes 331 calls)
+    calls = count_row_bounds(monkeypatch)
     for t in enumerate_candidates():
         weber_reject(t.b, t.c, WEBER_BOUND, max_enumerated=WEBER_MAX_ENUMERATED)
     assert len(calls) < 160, len(calls)
@@ -436,16 +442,9 @@ def test_classify_weber_searches_walk_one_annulus_each(monkeypatch):
 def test_congruent_representations_rows_do_not_shrink_annuli(monkeypatch):
     # past lo = D * cap^2 every annulus has more than cap rows, and halving
     # cannot change that, so only the built points are capped: with a cap
-    # of 64 the walk to rank 300,000 still takes a few dozen annuli
+    # of 64 the walk to rank 300,000 takes a few dozen _row_bounds calls
     want = list(_congruent_representations(23, 12144, 300_000))
-    calls = []
-    row_bounds = quadform._row_bounds
-
-    def counted(*args):
-        calls.append(args)
-        return row_bounds(*args)
-
-    monkeypatch.setattr(quadform, "_row_bounds", counted)
+    calls = count_row_bounds(monkeypatch)
     monkeypatch.setattr(quadform, "_ANNULUS_POINTS", 64)
     assert list(_congruent_representations(23, 12144, 300_000)) == want
     assert len(calls) < 100, len(calls)

@@ -14,9 +14,11 @@ alternates from round to round, so ten seeds give the ten alternating
 pairs a claimed gain is judged on.
 The snapshot records, per checkout and workload, each end-to-end metric's
 median, quartiles and samples, and the failed share of checked outputs.
-It also records the per-layer metrics of one traced run
-(`perfbench/run.py --trace 1`, first seed, same run length) per checkout
-and workload, with whether that run's outputs and self-checks passed.
+It also records, per checkout and workload, the median of each per-layer
+metric over the traced runs (`perfbench/run.py --trace 1`, same run
+length) of the first three seeds, in the same alternating order, with
+whether all those runs' outputs and self-checks passed: one traced run's
+layer times move by tens of percent on noise.
 With two or more checkouts it also counts the rounds in which the first
 one read lower than each other one (ties count for neither).
 
@@ -43,6 +45,7 @@ from pathlib import Path
 WORKLOADS = ("classify", "brute", "parity")
 METRICS = ("solve_s", "peak_mem_mb", "setup_s")
 SEEDS = range(1, 11)
+LAYER_SEEDS = SEEDS[:3]
 SECONDS = json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 
@@ -107,10 +110,16 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float,
     return json.loads(lines[0].removeprefix("machine ")), json.loads(lines[-1])
 
 
-def layer_run(checkout: Path, workload: str) -> dict:
-    _, result = bench_run(checkout, workload, SEEDS[0], SECONDS, trace=1)
+def layer_run(checkout: Path, workload: str, seed: int) -> dict:
+    _, result = bench_run(checkout, workload, seed, SECONDS, trace=1)
     return {"correct": result["correct"],
             **{name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def layer_medians(recs: list) -> dict:
+    return {"correct": all(r["correct"] for r in recs), "runs": len(recs),
+            **{name: statistics.median(r[name] for r in recs)
+               for name in recs[0] if name != "correct"}}
 
 
 def figure(checkout: Path, code: str) -> dict:
@@ -150,6 +159,7 @@ def main() -> int:
     names = list(checkouts)
 
     runs = {name: {w: [] for w in WORKLOADS} for name in names}
+    layers = {name: {w: [] for w in WORKLOADS} for name in names}
     for workload in WORKLOADS:
         for i, seed in enumerate(SEEDS):
             order = names if i % 2 == 0 else names[::-1]
@@ -162,6 +172,13 @@ def main() -> int:
                 print(f"{workload} seed {seed} {name}: "
                       + ", ".join(f"{m} {rec[m]:.4f}" for m in METRICS),
                       file=sys.stderr, flush=True)
+        for i, seed in enumerate(LAYER_SEEDS):
+            order = names if i % 2 == 0 else names[::-1]
+            for name in order:
+                rec = layer_run(checkouts[name], workload, seed)
+                layers[name][workload].append(rec)
+                print(f"{workload} seed {seed} {name} traced: {rec}",
+                      file=sys.stderr, flush=True)
 
     snapshot = {
         "label": args.label,
@@ -169,6 +186,7 @@ def main() -> int:
         | {"platform": platform.platform()},
         "settings": {"pairs": len(SEEDS), "seconds": float(SECONDS),
                      "seeds": [SEEDS[0], SEEDS[-1]],
+                     "layer_seeds": [LAYER_SEEDS[0], LAYER_SEEDS[-1]],
                      "order": "checkouts alternate which runs first"},
         "checkouts": {},
     }
@@ -182,9 +200,7 @@ def main() -> int:
                 "fail_frac": (sum(r["failed"] for r in recs) / attempted
                               if attempted else 1.0),
                 "all_correct": all(r["correct"] for r in recs)}
-            side["layers"][workload] = layer_run(checkouts[name], workload)
-            print(f"{name} {workload} traced: {side['layers'][workload]}",
-                  file=sys.stderr, flush=True)
+            side["layers"][workload] = layer_medians(layers[name][workload])
         for label, code in NORTH_STAR.items():
             side["north_star"][label] = figure(checkouts[name], code)
             print(f"{name} {label}: {side['north_star'][label]}", file=sys.stderr,

@@ -287,10 +287,10 @@ def brute_search(bound: int, n_terms: int) -> list[Triple]:
     the product is the other factor, and cut = n_terms.  k1 and k2 are
     read from those bits when both lie below the cut.  Otherwise (b = c,
     x = y, or the sum has too few indices) they come from the full
-    product.  A candidate a whose f_a differs below the cut cannot equal
-    the product, so it is skipped without a full comparison.  The full
-    product is formed at most once per pair, and each match is confirmed
-    by full equality.
+    product, for b = c the Frobenius square f_b(q^2).  A candidate a
+    whose f_a differs below the cut cannot equal the product, so it is
+    skipped without a full comparison.  The full product is formed at
+    most once per pair, and each match is confirmed by full equality.
 
     Four caches local to the call do each piece of work once: f_m and
     its first positive index per m, the support of f_k past a = 0 per k,
@@ -316,7 +316,7 @@ def brute_search(bound: int, n_terms: int) -> list[Triple]:
             rest = low >> 1  # bit j is the coefficient at j + 1
             if (rest & (rest - 1)) == 0:
                 # fewer than two nonzero indices below the cut
-                prod = fb.mul(fc)
+                prod = fb.square() if b == c else fb.mul(fc)
                 rest = prod.bits >> 1
             if not rest:
                 continue

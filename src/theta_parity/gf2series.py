@@ -7,17 +7,17 @@ lazily and cached.
 
 Multiplication has two kernels, both a shift-xor comb over the support
 of the sparser operand: each of its terms s adds the denser operand
-shifted by s.  So both cost one pass over about N/64 machine words per
-term, and mul() chooses between them by N alone:
+shifted by s.  So both cost one pass over about N/8 bytes per term, and
+mul() chooses between them by N alone:
 
   * below _WORDS_MIN_TERMS, a Python-int comb: acc ^= dense_bits << s.
     Its per-term overhead is the lowest, which suits short products:
     the prefilter's at 4096 terms and brute_search's at a few thousand.
-  * at or above it, a numpy uint64 word comb: the denser operand is
-    shifted by each residue s mod 64 once, then xored in place into the
-    output at word offset s >> 6.  It allocates no N-bit int per term,
-    so long products (theta products and P*f_a at 10^6 and beyond) take
-    it, and its memory is a few N-bit word arrays.
+  * at or above it, a numpy byte-offset comb: the denser operand's bytes
+    are shifted by each residue s mod 8 once, then xored in place into
+    the output at byte offset s >> 3.  It allocates no N-bit int per
+    term, so long products (theta products and P*f_a at 10^6 and beyond)
+    take it, and its memory is a few N-bit byte arrays.
 
 Both kernels are truncation-first: no coefficient at or beyond n_terms
 is ever reported, and all identity claims are "below N" claims.
@@ -36,11 +36,13 @@ _BYTES = np.arange(256, dtype=np.uint16)
 _SPREAD = sum(((_BYTES >> i) & 1) << (2 * i) for i in range(8)).astype("<u2")
 
 
-# mul() switches from the Python-int comb to the numpy word comb at this
+# mul() switches from the Python-int comb to the numpy byte comb at this
 # many terms.  Both cost one pass per term of the sparser operand, so the
 # crossover depends on N only: on P*f_6, P(q^4)*f_8, f_8*f_24 and
-# f_100*f_200 (2 cores, numpy 2.4.6) the Python-int comb was about 2x
-# faster at 2^15 terms, about 2x slower at 2^17, and even at 2^16.
+# f_100*f_200 together (2 cores, numpy 2.4.6) the Python-int comb took
+# 0.9-1.1 ms at 2^15 terms against the byte comb's 0.7-1.2 ms, 2.2-3.1
+# ms against 1.1 ms at 2^16 and 6.1-8.1 ms against 1.9 ms at 2^17.  No
+# workload multiplies between 2^15 and 2^16 terms.
 _WORDS_MIN_TERMS = 1 << 16
 
 
@@ -135,26 +137,27 @@ class Gf2Series:
     def _mul_words(self, other: "Gf2Series") -> "Gf2Series":
         n = self.n_terms
         f, g = self._sparser_first(other)
-        n_words = (n + 63) >> 6
-        words = np.frombuffer(g._bits.to_bytes(8 * n_words, "little"), dtype="<u8")
-        out = np.zeros(n_words, dtype="<u8")
-        shifted = np.empty_like(words)
+        n_bytes = (n + 7) >> 3
+        dense = np.frombuffer(g._bits.to_bytes(n_bytes, "little"), dtype=np.uint8)
+        out = np.zeros(n_bytes, dtype=np.uint8)
+        shifted = np.empty_like(dense)
         exps = np.asarray(f.support, dtype=np.int64)
-        residues = exps & 63
-        for r in np.flatnonzero(np.bincount(residues, minlength=64)).tolist():
-            if r == 0:  # a shift by 64 is not portable
-                g_r = words
-            else:  # words shifted left by r bits, carrying across words
+        residues = exps & 7
+        for r in np.flatnonzero(np.bincount(residues, minlength=8)).tolist():
+            if r == 0:
+                g_r = dense
+            else:  # bytes shifted left by r bits, carrying across bytes
                 g_r = shifted
-                np.left_shift(words, r, out=g_r)
-                g_r[1:] |= words[:-1] >> (64 - r)
-            for w in (exps[residues == r] >> 6).tolist():
-                np.bitwise_xor(out[w:], g_r[:n_words - w], out=out[w:])
+                np.left_shift(dense, r, out=g_r)
+                g_r[1:] |= dense[:-1] >> (8 - r)
+            for w in (exps[residues == r] >> 3).tolist():
+                tail = out[w:]
+                np.bitwise_xor(tail, g_r[:n_bytes - w], out=tail)
         # release the shifted copies before packing out (an empty support
         # never binds g_r, so they are rebound rather than deleted)
-        words = shifted = g_r = None
-        if n & 63:  # clear the bits at and above n
-            out[-1] &= (1 << (n & 63)) - 1
+        dense = shifted = g_r = None
+        if n & 7:  # clear the bits at and above n
+            out[-1] &= (1 << (n & 7)) - 1
         return Gf2Series(n, int.from_bytes(out.tobytes(), "little"))
 
     def square(self) -> "Gf2Series":

@@ -11,6 +11,7 @@ int64, exact for m*N < 2^63; larger inputs raise ValueError.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 from typing import Optional
 
@@ -92,30 +93,34 @@ def eta_support(n_terms: int) -> tuple:
     return tuple(out)
 
 
-def eta_series(n_terms: int) -> Gf2Series:
-    return Gf2Series.from_support(eta_support(n_terms), n_terms)
+@lru_cache(maxsize=1)
+def _eta_chain(n_terms: int) -> tuple:
+    """(eta, eta^2, eta^3) mod 2 below n_terms, eta = (q;q)_inf.
+
+    Each power is built once per truncation, however many exponents are
+    asked for: eta^2 is the Frobenius square, eta^3 the one multiply.
+    """
+    e1 = Gf2Series.from_support(eta_support(n_terms), n_terms)
+    e2 = e1.square()
+    return e1, e2, e2.mul(e1)
 
 
 def eta_power_series(a: int, n_terms: int) -> Gf2Series:
     """(q;q)_inf^a mod 2, truncated; a in {1,2,3,4,6}.
 
-    Computed by Frobenius squaring chains: a=2,4 by repeated squaring,
-    a=3 as square times base, a=6 as the square of a=3.
+    Read from the chain eta, eta^2, eta^3 that _eta_chain builds once
+    per truncation; a=4 and a=6 are the Frobenius squares of a=2 and
+    a=3.  The chain's one multiply, eta^2 * eta, takes the byte comb of
+    Gf2Series.mul from 2^16 terms on.
     """
     if a not in EULER_JACOBI_EXPONENTS:
         raise ValueError(f"exponent {a} outside {EULER_JACOBI_EXPONENTS}")
-    e1 = eta_series(n_terms)
-    if a == 1:
-        return e1
-    e2 = e1.square()
-    if a == 2:
-        return e2
+    e1, e2, e3 = _eta_chain(n_terms)
     if a == 4:
         return e2.square()
-    e3 = e2.mul(e1)
-    if a == 3:
-        return e3
-    return e3.square()  # a == 6
+    if a == 6:
+        return e3.square()
+    return (e1, e2, e3)[a - 1]
 
 
 def euler_jacobi_check(a: int, n_terms: int) -> Optional[int]:

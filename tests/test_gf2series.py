@@ -170,10 +170,11 @@ def test_dense_operand_support_never_built(data):
 
 
 @st.composite
-def word_comb_inputs(draw, max_n=300):
-    """(n, support_a, support_b) with supports of at most 24 terms, so n
-    ranges over single, partial and whole 64-bit words."""
-    n = draw(st.integers(1, max_n))
+def word_comb_inputs(draw, lengths=st.integers(1, 300)):
+    """(n, support_a, support_b) with n drawn from `lengths` and supports
+    of at most 24 terms; by default n ranges over single, partial and
+    whole bytes and 64-bit words."""
+    n = draw(lengths)
     index = st.integers(0, n - 1)
     return (n, sorted(draw(st.sets(index, max_size=24))),
             sorted(draw(st.sets(index, max_size=24))))
@@ -187,6 +188,12 @@ def word_comb_inputs(draw, max_n=300):
 @example((100, [0, 64], [3, 35, 99]))        # residue 0 into the last word
 @example((191, [63, 127], [0, 1, 63, 64]))   # residue 63 into the last word
 @example((192, [0, 63, 128, 191], list(range(0, 192, 5))))
+@example((7, [0, 6], [1, 3, 6]))             # one partial byte, a term at n - 1
+@example((8, [7], [0, 1, 7]))                 # one whole byte
+@example((9, [7], [0, 1]))                    # residue 7 carries into the last byte
+@example((15, [7, 14], list(range(15))))      # residue 7 at n - 1
+@example((17, [], [0, 3, 16]))                # an empty sparser support
+@example((17, [16], [0, 8, 16]))              # residue 0 at n - 1
 def test_word_comb_matches_naive_convolution(data):
     n, sa, sb = data
     f = Gf2Series.from_support(sa, n)
@@ -194,6 +201,17 @@ def test_word_comb_matches_naive_convolution(data):
     got = f._mul_words(g)
     assert got == Gf2Series.from_support(naive_mul(sa, sb, n), n)
     assert got == g._mul_words(f)
+
+
+@pytest.mark.parametrize("rem", range(8))
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_word_comb_at_every_length_mod_8(rem, data):
+    # the comb clears the bits at and above n inside its last byte
+    n, sa, sb = data.draw(word_comb_inputs(
+        st.integers(1, 40).map(lambda whole: 8 * whole + rem)))
+    got = Gf2Series.from_support(sa, n)._mul_words(Gf2Series.from_support(sb, n))
+    assert got == Gf2Series.from_support(naive_mul(sa, sb, n), n)
 
 
 @pytest.mark.parametrize("n", [_WORDS_MIN_TERMS - 1, _WORDS_MIN_TERMS,

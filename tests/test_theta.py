@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from theta_parity import theta
 from theta_parity.gf2series import Gf2Series
-from theta_parity.theta import (eta_power_series, eta_support,
-                                euler_jacobi_check, theta_series,
-                                theta_support)
+from theta_parity.theta import (EULER_JACOBI_EXPONENTS, eta_power_series,
+                                eta_support, euler_jacobi_check,
+                                theta_series, theta_support)
 
 
 def scan_support(m, n_terms):
@@ -151,6 +152,24 @@ def test_eta_powers_match_repeated_multiplication():
         powers[a] = acc
     for a in (1, 2, 3, 4, 6):
         assert eta_power_series(a, n) == powers[a]
+
+
+def test_euler_jacobi_checks_share_one_eta_chain(monkeypatch):
+    # eta, eta^2 and eta^3 are built once per truncation: the five
+    # checks at one n multiply once, for eta^3
+    calls = []
+    mul = Gf2Series.mul
+
+    def spy(self, other):
+        calls.append(self.n_terms)
+        return mul(self, other)
+
+    monkeypatch.setattr(Gf2Series, "mul", spy)
+    theta._eta_chain.cache_clear()
+    n = 3000
+    for a in EULER_JACOBI_EXPONENTS:
+        assert euler_jacobi_check(a, n) is None
+    assert calls == [n]
 
 
 def test_euler_jacobi_check_small():

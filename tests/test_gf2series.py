@@ -189,11 +189,11 @@ def word_comb_inputs(draw, lengths=st.integers(1, 300)):
 @example((191, [63, 127], [0, 1, 63, 64]))   # residue 63 into the last word
 @example((192, [0, 63, 128, 191], list(range(0, 192, 5))))
 @example((7, [0, 6], [1, 3, 6]))             # one partial byte, a term at n - 1
-@example((8, [7], [0, 1, 7]))                 # one whole byte
-@example((9, [7], [0, 1]))                    # residue 7 carries into the last byte
-@example((15, [7, 14], list(range(15))))      # residue 7 at n - 1
-@example((17, [], [0, 3, 16]))                # an empty sparser support
-@example((17, [16], [0, 8, 16]))              # residue 0 at n - 1
+@example((8, [7], [0, 1, 7]))                # one whole byte
+@example((9, [7], [0, 1]))                   # residue 7 carries into the last byte
+@example((15, [7, 14], list(range(15))))     # residue 7 at n - 1
+@example((17, [], [0, 3, 16]))               # an empty sparser support
+@example((17, [16], [0, 8, 16]))             # residue 0 at n - 1
 def test_word_comb_matches_naive_convolution(data):
     n, sa, sb = data
     f = Gf2Series.from_support(sa, n)

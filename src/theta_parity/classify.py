@@ -3,10 +3,13 @@
 Candidate triples with b' != c' come from the necessary conditions
 (egyptian fraction, (b'+c') | 24, (b'+c') | d, valuation bounds,
 d | 24|b'-c'|), which make the search finite.  Each candidate is then
-decided by a truncated series comparison; refutations carry the first
-differing coefficient index as a witness, optionally strengthened by a
-Weber-prime certificate.  The b' = c' side reduces to b = c = d with the
-criterion v2(d) in {2, 3}, spot-checked by series.
+decided by a truncated series comparison, first at PREFILTER_TERMS and
+then at full length, where gf2series.comb_first_difference finds the
+first difference of f_a and f_b*f_c without building the product;
+refutations carry the first differing coefficient index as a witness,
+optionally strengthened by a Weber-prime certificate.  The b' = c' side
+reduces to b = c = d with the criterion v2(d) in {2, 3}, spot-checked by
+series.
 
 Verified status is always truncation-relative: "verified to N terms",
 never "proven".
@@ -19,10 +22,11 @@ from functools import cache
 from math import gcd
 from typing import Optional
 
-from .gf2series import Gf2Series
+from .gf2series import (_WORDS_MIN_TERMS, PREFILTER_TERMS, Gf2Series,
+                        comb_first_difference, support_bytes)
 from .numth import divisors, egyptian_a, vp
 from .quadform import WeberCertificate, weber_reject
-from .theta import theta_series, theta_support
+from .theta import theta_exponents, theta_series, theta_support
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -128,13 +132,23 @@ def verify_triple(a: int, b: int, c: int, n_terms: int) -> Certificate:
     """Compare f_a with f_b*f_c below n_terms.
 
     When b == c the product is a square, and mod 2 f_b^2 = f_b(q^2), so
-    it is taken by Frobenius rather than by a multiply.
+    it is taken by Frobenius rather than by a multiply.  Otherwise, from
+    _WORDS_MIN_TERMS on, the byte comb walks the shorter of the two
+    supports starting from f_a's bytes and reports the first difference,
+    so no product is built.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
     if b > c:
         b, c = c, b
     triple = Triple(a, b, c)
+    if b != c and n_terms >= _WORDS_MIN_TERMS:
+        walked, other = sorted(
+            (theta_exponents(m, n_terms) for m in (b, c)), key=len)
+        witness = comb_first_difference(
+            walked, support_bytes(other, n_terms),
+            support_bytes(theta_exponents(a, n_terms), n_terms), n_terms)
+        return Certificate(triple, n_terms, witness)
     fa = theta_series(a, n_terms)
     fb = theta_series(b, n_terms)
     prod = fb.square() if b == c else fb.mul(theta_series(c, n_terms))
@@ -161,10 +175,6 @@ def enumerate_candidates() -> list[Triple]:
     return sorted(out)
 
 
-# Truncation of the cheap first comparisons: witnesses live at tiny
-# indices, so most decoys never touch the full-length series, and the
-# family spot checks stop here too.
-PREFILTER_TERMS = 4096
 # Cap on the Weber primes each candidate's search examines
 # (weber_reject's bound).
 WEBER_BOUND = 12

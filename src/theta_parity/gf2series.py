@@ -16,10 +16,16 @@ mul() chooses between them by N alone:
   * at or above it, a numpy byte-offset comb: the denser operand's bytes
     are shifted by each residue s mod 8 once, then xored in place into
     the output at byte offset s >> 3.  It allocates no N-bit int per
-    term, so long products (theta products and P*f_a at 10^6 and beyond)
-    take it, and its memory is a few N-bit byte arrays.
+    term, and its memory is a few N-bit byte arrays.
 
-Both kernels are truncation-first: no coefficient at or beyond n_terms
+An identity check only needs the first index where a target differs
+from a product.  comb_first_difference runs the same byte comb from the
+target's bytes instead of zeros and reads the first set bit of the sum,
+so the product is never built; the long checks (verify_triple and
+bm_first_failure from _WORDS_MIN_TERMS on) pack its operands straight
+from support arrays with support_bytes.
+
+The kernels are truncation-first: no coefficient at or beyond n_terms
 is ever reported, and all identity claims are "below N" claims.
 """
 
@@ -44,6 +50,58 @@ _SPREAD = sum(((_BYTES >> i) & 1) << (2 * i) for i in range(8)).astype("<u2")
 # ms against 1.1 ms at 2^16 and 6.1-8.1 ms against 1.9 ms at 2^17.  No
 # workload multiplies between 2^15 and 2^16 terms.
 _WORDS_MIN_TERMS = 1 << 16
+# Truncation of the cheap first comparisons: witnesses live at tiny
+# indices, so most decoy identities never reach a full-length comb.  It
+# lies below _WORDS_MIN_TERMS, so those comparisons take the int comb.
+PREFILTER_TERMS = 4096
+
+
+def support_bytes(exps: np.ndarray, n_terms: int) -> np.ndarray:
+    """The (n_terms + 7) // 8 little-endian bytes of the series whose
+    support is the int64 array `exps` (distinct, in [0, n_terms))."""
+    out = np.zeros((n_terms + 7) >> 3, dtype=np.uint8)
+    np.bitwise_or.at(out, exps >> 3, np.left_shift(1, exps & 7).astype(np.uint8))
+    return out
+
+
+def _xor_comb(out: np.ndarray, dense: np.ndarray, exps: np.ndarray) -> None:
+    """Xor into the bytes `out` the product of the bytes `dense` with the
+    series whose support is the int64 array `exps`, cut to len(out) bytes.
+
+    dense shifted by each residue r = s mod 8 that occurs is built once,
+    in one reused buffer, and xored in place into out[s >> 3:] for each s
+    of that residue.  Bits past the truncation in the last byte are left
+    to the caller.
+    """
+    n_bytes = len(out)
+    shifted = np.empty_like(dense)
+    residues = exps & 7
+    for r in np.flatnonzero(np.bincount(residues, minlength=8)).tolist():
+        if r == 0:
+            g_r = dense
+        else:  # bytes shifted left by r bits, carrying across bytes
+            g_r = shifted
+            np.left_shift(dense, r, out=g_r)
+            g_r[1:] |= dense[:-1] >> (8 - r)
+        for w in (exps[residues == r] >> 3).tolist():
+            tail = out[w:]
+            np.bitwise_xor(tail, g_r[:n_bytes - w], out=tail)
+
+
+def comb_first_difference(exps: np.ndarray, dense: np.ndarray,
+                          target: np.ndarray, n_terms: int) -> Optional[int]:
+    """Smallest k < n_terms where the bytes `target` differ from the
+    product of the bytes `dense` with the series whose support is the
+    int64 array `exps`, or None if they agree below n_terms.
+
+    The comb xors the product into target in place, so target ends as
+    their sum and the product is never built.
+    """
+    _xor_comb(target, dense, exps)
+    i = int(np.argmax(target != 0))  # 0 when every byte is zero
+    low = int(target[i])
+    k = 8 * i + (low & -low).bit_length() - 1
+    return k if 0 <= k < n_terms else None
 
 
 class Gf2Series:
@@ -75,10 +133,14 @@ class Gf2Series:
             prev = k
         if indices and (indices[0] < 0 or indices[-1] >= n_terms):
             raise ValueError("support index out of range")
-        # set bits in a byte buffer and convert once: linear in N
-        buf = bytearray((n_terms + 7) // 8)
-        for k in indices:
-            buf[k >> 3] |= 1 << (k & 7)
+        # set bits in a byte buffer and convert once: linear in N; numpy's
+        # fixed cost pays off only on the long supports
+        if n_terms >= _WORDS_MIN_TERMS:
+            buf = support_bytes(np.array(indices, dtype=np.int64), n_terms)
+        else:
+            buf = bytearray((n_terms + 7) // 8)
+            for k in indices:
+                buf[k >> 3] |= 1 << (k & 7)
         return cls(n_terms, int.from_bytes(buf, "little"), tuple(indices))
 
     @classmethod
@@ -99,6 +161,11 @@ class Gf2Series:
                                 count=n, bitorder="little")
             self._support = tuple(np.flatnonzero(arr).tolist())
         return self._support
+
+    def byte_array(self) -> np.ndarray:
+        """The coefficients as (n_terms + 7) // 8 little-endian bytes."""
+        raw = self._bits.to_bytes((self.n_terms + 7) >> 3, "little")
+        return np.frombuffer(raw, dtype=np.uint8)
 
     def coeff(self, k: int) -> int:
         if not 0 <= k < self.n_terms:
@@ -137,28 +204,11 @@ class Gf2Series:
     def _mul_words(self, other: "Gf2Series") -> "Gf2Series":
         n = self.n_terms
         f, g = self._sparser_first(other)
-        n_bytes = (n + 7) >> 3
-        dense = np.frombuffer(g._bits.to_bytes(n_bytes, "little"), dtype=np.uint8)
-        out = np.zeros(n_bytes, dtype=np.uint8)
-        shifted = np.empty_like(dense)
-        exps = np.asarray(f.support, dtype=np.int64)
-        residues = exps & 7
-        for r in np.flatnonzero(np.bincount(residues, minlength=8)).tolist():
-            if r == 0:
-                g_r = dense
-            else:  # bytes shifted left by r bits, carrying across bytes
-                g_r = shifted
-                np.left_shift(dense, r, out=g_r)
-                g_r[1:] |= dense[:-1] >> (8 - r)
-            for w in (exps[residues == r] >> 3).tolist():
-                tail = out[w:]
-                np.bitwise_xor(tail, g_r[:n_bytes - w], out=tail)
-        # release the shifted copies before packing out (an empty support
-        # never binds g_r, so they are rebound rather than deleted)
-        dense = shifted = g_r = None
+        out = np.zeros((n + 7) >> 3, dtype=np.uint8)
+        _xor_comb(out, g.byte_array(), np.asarray(f.support, dtype=np.int64))
         if n & 7:  # clear the bits at and above n
             out[-1] &= (1 << (n & 7)) - 1
-        return Gf2Series(n, int.from_bytes(out.tobytes(), "little"))
+        return Gf2Series(n, int.from_bytes(out, "little"))
 
     def square(self) -> "Gf2Series":
         """Frobenius: coefficient at 2k equals this series' coefficient at k.

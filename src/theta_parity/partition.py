@@ -16,6 +16,11 @@ A level pads the k known bits with zeros to m <= 4k terms and squares
 twice.  The second square reads only the low ceil(m/2) bits of the
 first, and those come from the low ceil(m/4) <= k bits of the padded
 series, so the padding never reaches the result.
+
+The Ballantine-Merca check compares P*f_a with f_b.  At long
+truncations it compares the low PREFILTER_TERMS coefficients first, as
+the classification does, and then runs gf2series.comb_first_difference
+from f_b's bytes, so P*f_a is never built.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from .gf2series import Gf2Series
-from .theta import theta_series
+from .gf2series import (_WORDS_MIN_TERMS, PREFILTER_TERMS, Gf2Series,
+                        comb_first_difference, support_bytes)
+from .theta import theta_exponents, theta_series
 
 
 @lru_cache(maxsize=8)
@@ -55,14 +61,33 @@ def bm_first_failure(a: int, b: int, n_max: int) -> Optional[int]:
     The property: sum of p(n-k) over k <= n with a*k+1 square is odd
     exactly when b*n+1 is a square.  The left side for all n at once is
     the product of the parity series with f_a, so the witness is the first
-    difference between that product and f_b.
+    difference between that product and f_b.  From _WORDS_MIN_TERMS on,
+    the low PREFILTER_TERMS coefficients are compared first, and then the
+    byte comb walks f_a's support starting from f_b's bytes, so no
+    product is built.
     """
     if a < 1 or b < 1 or n_max < 1:
         raise ValueError("a, b, n_max must be positive")
     n_terms = n_max + 1
-    lhs = partition_parity(n_terms).mul(theta_series(a, n_terms))
-    rhs = theta_series(b, n_terms)
-    return lhs.first_difference(rhs)
+    parity = partition_parity(n_terms)
+    if n_terms >= _WORDS_MIN_TERMS:
+        low = Gf2Series(PREFILTER_TERMS,
+                        parity.bits & ((1 << PREFILTER_TERMS) - 1))
+        witness = _product_first_difference(low, a, b)
+        if witness is not None:
+            return witness
+        return comb_first_difference(
+            theta_exponents(a, n_terms), parity.byte_array(),
+            support_bytes(theta_exponents(b, n_terms), n_terms), n_terms)
+    return _product_first_difference(parity, a, b)
+
+
+def _product_first_difference(parity: Gf2Series, a: int,
+                              b: int) -> Optional[int]:
+    """First difference of parity*f_a and f_b, the product built as a series."""
+    n_terms = parity.n_terms
+    lhs = parity.mul(theta_series(a, n_terms))
+    return lhs.first_difference(theta_series(b, n_terms))
 
 
 # The ten (a, b) pairs with 1/a = 1/b + 1/24: Ballantine-Merca's seven

@@ -30,7 +30,7 @@ _INT64_LIMIT = 1 << 63
 _ROOT_CHUNK = 1 << 16
 
 
-def theta_support(m: int, n_terms: int) -> tuple:
+def theta_exponents(m: int, n_terms: int) -> np.ndarray:
     """All k < n_terms with m*k + 1 a perfect square, ascending.
 
     With lim = isqrt(m*N), the qualifying y = sqrt(m*k + 1) <= lim are
@@ -40,7 +40,7 @@ def theta_support(m: int, n_terms: int) -> tuple:
     so rows j*m + roots are ascending and their concatenation is sorted
     and duplicate-free.  When N < min(m, lim), fewer indices than roots
     are candidates, so each k < N is tested directly, in chunks too, by
-    an exact integer square root of m*k + 1.  Returns Python ints;
+    an exact integer square root of m*k + 1.  Returns an int64 array;
     raises ValueError unless m*N < 2^63, the range where int64 is exact.
     """
     if m < 1 or n_terms < 1:
@@ -55,8 +55,8 @@ def theta_support(m: int, n_terms: int) -> tuple:
             k = np.arange(lo, min(lo + _ROOT_CHUNK, n_terms), dtype=np.int64)
             x = m * k + 1
             y = _isqrt_array(x)
-            support.extend(k[y * y == x].tolist())
-        return tuple(support)
+            support.append(k[y * y == x])
+        return np.concatenate(support)
     roots = []
     for lo in range(1, top + 1, _ROOT_CHUNK):
         r = np.arange(lo, min(lo + _ROOT_CHUNK, top + 1), dtype=np.int64)
@@ -64,7 +64,12 @@ def theta_support(m: int, n_terms: int) -> tuple:
     y = (np.arange(0, lim + 1, m, dtype=np.int64)[:, None]
          + np.concatenate(roots)).ravel()
     y = y[y <= lim]
-    return tuple(((y * y - 1) // m).tolist())
+    return (y * y - 1) // m
+
+
+def theta_support(m: int, n_terms: int) -> tuple:
+    """theta_exponents(m, n_terms) as a tuple of Python ints."""
+    return tuple(theta_exponents(m, n_terms).tolist())
 
 
 def theta_series(m: int, n_terms: int) -> Gf2Series:
@@ -93,16 +98,19 @@ def eta_support(n_terms: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
-def _eta_chain(n_terms: int) -> tuple:
-    """(eta, eta^2, eta^3) mod 2 below n_terms, eta = (q;q)_inf.
+@lru_cache(maxsize=3)
+def _eta_chain(a: int, n_terms: int) -> Gf2Series:
+    """eta^a mod 2 below n_terms for a in {1, 2, 3}, eta = (q;q)_inf.
 
-    Each power is built once per truncation, however many exponents are
-    asked for: eta^2 is the Frobenius square, eta^3 the one multiply.
+    eta^2 is the Frobenius square of eta and eta^3 the one multiply
+    eta^2 * eta; each is built once per truncation, and only when asked
+    for.
     """
-    e1 = Gf2Series.from_support(eta_support(n_terms), n_terms)
-    e2 = e1.square()
-    return e1, e2, e2.mul(e1)
+    if a == 1:
+        return Gf2Series.from_support(eta_support(n_terms), n_terms)
+    if a == 2:
+        return _eta_chain(1, n_terms).square()
+    return _eta_chain(2, n_terms).mul(_eta_chain(1, n_terms))
 
 
 def eta_power_series(a: int, n_terms: int) -> Gf2Series:
@@ -115,12 +123,9 @@ def eta_power_series(a: int, n_terms: int) -> Gf2Series:
     """
     if a not in EULER_JACOBI_EXPONENTS:
         raise ValueError(f"exponent {a} outside {EULER_JACOBI_EXPONENTS}")
-    e1, e2, e3 = _eta_chain(n_terms)
-    if a == 4:
-        return e2.square()
-    if a == 6:
-        return e3.square()
-    return (e1, e2, e3)[a - 1]
+    if a in (4, 6):
+        return _eta_chain(a // 2, n_terms).square()
+    return _eta_chain(a, n_terms)
 
 
 def euler_jacobi_check(a: int, n_terms: int) -> Optional[int]:

@@ -95,6 +95,34 @@ def test_verify_triple_witness_is_first_disagreement():
     assert repcount(16, 16, k) % 2 != (1 if is_square(8 * k + 1) else 0)
 
 
+# verify_triple's witness for each enumerated candidate, the same at 4096
+# and 10^6 terms, as the Gf2Series product computed it before the
+# first-difference comb; None for the eight sporadic triples
+CANDIDATE_WITNESSES = {
+    (2, 3, 6): 1, (3, 4, 12): 1, (4, 6, 12): None, (5, 6, 30): 3,
+    (6, 8, 24): None, (7, 8, 56): 1, (8, 12, 24): None, (9, 12, 36): 2,
+    (10, 12, 60): None, (11, 12, 132): 2, (12, 16, 48): 1,
+    (14, 16, 112): 2, (15, 24, 40): None, (16, 24, 48): None,
+    (18, 24, 72): 1, (20, 24, 120): None, (21, 24, 168): None,
+    (22, 24, 264): 1, (23, 24, 552): 1, (30, 48, 80): 2, (35, 60, 84): 1,
+    (36, 48, 144): 1, (40, 48, 240): 1, (42, 48, 336): 1, (44, 48, 528): 2,
+    (45, 72, 120): 1, (46, 48, 1104): 1, (55, 60, 660): 2, (63, 72, 504): 1,
+    (70, 120, 168): 2, (90, 144, 240): 2, (95, 120, 456): 1,
+    (110, 120, 1320): 1, (119, 168, 408): 1, (126, 144, 1008): 2,
+    (140, 240, 336): 4, (143, 264, 312): 1, (190, 240, 912): 4,
+    (220, 240, 2640): 2, (238, 336, 816): 5, (253, 264, 6072): 2,
+    (286, 528, 624): 2, (506, 528, 12144): 1, (595, 840, 2040): 1,
+    (665, 840, 3192): 1, (1190, 1680, 4080): 1, (1330, 1680, 6384): 1,
+}
+
+
+@pytest.mark.parametrize("n", [classify.PREFILTER_TERMS, 10 ** 6])
+def test_candidate_witnesses_unchanged(n):
+    got = {t.as_tuple(): verify_triple(*t.as_tuple(), n).witness
+           for t in enumerate_candidates()}
+    assert got == CANDIDATE_WITNESSES
+
+
 def test_verify_triple_squares_equal_factors(monkeypatch):
     # b == c takes f_b^2 = f_b(q^2) mod 2: the family spot checks' witnesses
     # equal those of the multiply, and no multiply kernel runs for them

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from theta_parity import classify
-from theta_parity.gf2series import Gf2Series, _WORDS_MIN_TERMS
-from theta_parity.partition import bm_first_failure, partition_parity
+from theta_parity import classify, gf2series, partition
+from theta_parity.gf2series import (_WORDS_MIN_TERMS, Gf2Series,
+                                    comb_first_difference, support_bytes)
+from theta_parity.partition import (BM_REFUTED_PAIRS, bm_first_failure,
+                                    partition_parity)
 from theta_parity.theta import theta_series
 
 
@@ -214,6 +216,41 @@ def test_word_comb_at_every_length_mod_8(rem, data):
     assert got == Gf2Series.from_support(naive_mul(sa, sb, n), n)
 
 
+@st.composite
+def first_difference_inputs(draw):
+    """(n, walked, other, flips): the target is walked * other with the
+    coefficients at `flips` changed, so its first difference is min(flips)."""
+    n, walked, other = draw(word_comb_inputs())
+    flips = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    return n, walked, other, sorted(flips)
+
+
+@settings(max_examples=150, deadline=None)
+@given(first_difference_inputs())
+@example((8, [0, 7], [0, 1, 7], [7]))             # n = 0 mod 8, at n - 1
+@example((9, [2], [0, 7], []))                    # a product bit past n: None
+@example((10, [1, 9], list(range(10)), [3, 9]))
+@example((11, [], [0, 5, 10], [10]))              # an empty walked support
+@example((12, [], [0, 5], []))
+@example((13, [3, 7], [0, 1, 2, 12], [12]))
+@example((14, [13], [0, 13], []))                 # target equals the product
+@example((15, [7, 14], list(range(15)), [14]))    # n = 7 mod 8, at n - 1
+@example((_WORDS_MIN_TERMS - 1, [0, 5, 40000], [1, 2, 30000, 65530], [65534]))
+@example((_WORDS_MIN_TERMS, [0, 65535], [0, 1, 65535], [65535]))
+@example((_WORDS_MIN_TERMS, [3, 9000], [0, 60000], []))
+def test_comb_first_difference_matches_product(data):
+    n, walked, other, flips = data
+    f = Gf2Series.from_support(walked, n)
+    g = Gf2Series.from_support(other, n)
+    t = Gf2Series(n, f.mul(g).bits ^ sum(1 << k for k in flips))
+    target = support_bytes(np.array(t.support, dtype=np.int64), n)
+    assert bytes(target) == bytes(t.byte_array())
+    got = comb_first_difference(np.array(walked, dtype=np.int64),
+                                g.byte_array(), target, n)
+    assert got == f.mul(g).first_difference(t)
+    assert got == (flips[0] if flips else None)
+
+
 @pytest.mark.parametrize("n", [_WORDS_MIN_TERMS - 1, _WORDS_MIN_TERMS,
                                _WORDS_MIN_TERMS + 1, 10 ** 6])
 def test_word_comb_matches_int_comb_on_long_products(n):
@@ -236,6 +273,13 @@ def test_mul_kernel_follows_n_terms(monkeypatch):
     for name in ("_mul_comb", "_mul_words"):
         monkeypatch.setattr(Gf2Series, name, spy(name))
 
+    def first_difference_spy(exps, dense, target, n_terms):
+        calls.append(("comb_first_difference", n_terms))
+        return comb_first_difference(exps, dense, target, n_terms)
+
+    for module in (classify, partition):
+        monkeypatch.setattr(module, "comb_first_difference", first_difference_spy)
+
     def kernels(run):
         calls.clear()
         run()
@@ -250,12 +294,61 @@ def test_mul_kernel_follows_n_terms(monkeypatch):
     for n, name in ((_WORDS_MIN_TERMS - 1, "_mul_comb"),
                     (_WORDS_MIN_TERMS, "_mul_words")):
         assert kernels(lambda: theta_series(1, n).mul(theta_series(2, n))) == {(name, n)}
-    # long theta products and P*f_a take the word comb
+    # long theta products take the word comb; long identity checks and
+    # P*f_a against f_b take the first-difference comb after the prefilter
     n = 10 ** 6
     assert kernels(lambda: theta_series(8, n).mul(theta_series(24, n))) == {
         ("_mul_words", n)}
+    assert kernels(lambda: classify.verify_triple(4, 6, 12, n)) == {
+        ("comb_first_difference", n)}
     bm = kernels(lambda: bm_first_failure(6, 8, 300_000))
-    assert ("_mul_words", 300_001) in bm and ("_mul_comb", 300_001) not in bm
+    assert ("comb_first_difference", 300_001) in bm
+    assert ("_mul_comb", classify.PREFILTER_TERMS) in bm
+    assert ("_mul_comb", 300_001) not in bm
+
+
+def test_refuted_bm_pairs_never_reach_the_long_comb(monkeypatch):
+    # their witness, 1, is found by the prefilter's int comb
+    n_max = 10 ** 6
+    partition_parity(n_max + 1)  # the parity levels' own products
+    calls = []
+    monkeypatch.setattr(gf2series, "_xor_comb",
+                        lambda out, dense, exps: calls.append(len(out)))
+    for a, b in BM_REFUTED_PAIRS:
+        assert bm_first_failure(a, b, n_max) == 1
+    assert calls == []
+
+
+def test_long_identity_check_builds_no_series(monkeypatch):
+    # verify_triple with b != c from 2^16 terms on decides from the
+    # theta supports' arrays: no Gf2Series, so no product, is built
+    built = []
+    init = Gf2Series.__init__
+
+    def spy(self, n_terms, *args, **kwargs):
+        built.append(n_terms)
+        init(self, n_terms, *args, **kwargs)
+
+    monkeypatch.setattr(Gf2Series, "__init__", spy)
+    monkeypatch.setattr(Gf2Series, "mul", lambda self, other: built.append("mul"))
+    assert classify.verify_triple(4, 6, 12, 10 ** 6).witness is None
+    assert classify.verify_triple(5, 6, 30, 10 ** 6).witness == 3
+    assert built == []
+
+
+def test_long_identity_check_memory_stays_linear():
+    # f_a's bytes (the comb's target), the other factor's bytes, one
+    # shifted copy and the shift's temporary: about four n-bit buffers at
+    # the peak, where building the product as a series took eight
+    n = 10 ** 6
+    classify.verify_triple(4, 6, 12, n)
+    tracemalloc.start()
+    try:
+        classify.verify_triple(4, 6, 12, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n // 8, peak
 
 
 def test_long_product_memory_stays_linear():

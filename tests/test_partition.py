@@ -120,6 +120,19 @@ def test_bm_agrees_with_theta_identity_witness():
         assert direct == via_series, (a, b)
 
 
+@pytest.mark.parametrize("n_max", [5000, 70_000, 300_000])
+def test_bm_witnesses_unchanged(n_max):
+    # on both sides of the first-difference comb's 2^16-term switch: the
+    # seven conjectured pairs hold and the three refuted ones fail at 1,
+    # as the product P*f_a computed as a series says
+    n = n_max + 1
+    parity = partition_parity(n)
+    for a, b in BM_CONJECTURED_PAIRS + BM_REFUTED_PAIRS:
+        want = parity.mul(theta_series(a, n)).first_difference(theta_series(b, n))
+        assert want == (1 if (a, b) in BM_REFUTED_PAIRS else None)
+        assert bm_first_failure(a, b, n_max) == want, (a, b)
+
+
 def test_bm_validation():
     with pytest.raises(ValueError):
         bm_first_failure(0, 8, 10)

@@ -156,7 +156,8 @@ def test_eta_powers_match_repeated_multiplication():
 
 def test_euler_jacobi_checks_share_one_eta_chain(monkeypatch):
     # eta, eta^2 and eta^3 are built once per truncation: the five
-    # checks at one n multiply once, for eta^3
+    # checks at one n multiply once, for eta^3, and only a in {3, 6}
+    # asks for eta^3
     calls = []
     mul = Gf2Series.mul
 
@@ -167,6 +168,9 @@ def test_euler_jacobi_checks_share_one_eta_chain(monkeypatch):
     monkeypatch.setattr(Gf2Series, "mul", spy)
     theta._eta_chain.cache_clear()
     n = 3000
+    for a in (1, 2, 4):
+        eta_power_series(a, n)
+    assert calls == []
     for a in EULER_JACOBI_EXPONENTS:
         assert euler_jacobi_check(a, n) is None
     assert calls == [n]

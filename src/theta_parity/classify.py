@@ -4,8 +4,7 @@ Candidate triples with b' != c' come from the necessary conditions
 (egyptian fraction, (b'+c') | 24, (b'+c') | d, valuation bounds,
 d | 24|b'-c'|), which make the search finite.  Each candidate is then
 decided by a truncated series comparison, first at PREFILTER_TERMS and
-then at full length, where gf2series.comb_first_difference finds the
-first difference of f_a and f_b*f_c without building the product;
+then at full length, where no product is built (verify_triple);
 refutations carry the first differing coefficient index as a witness,
 optionally strengthened by a Weber-prime certificate.  The b' = c' side
 reduces to b = c = d with the criterion v2(d) in {2, 3}, spot-checked by

@@ -61,10 +61,8 @@ def bm_first_failure(a: int, b: int, n_max: int) -> Optional[int]:
     The property: sum of p(n-k) over k <= n with a*k+1 square is odd
     exactly when b*n+1 is a square.  The left side for all n at once is
     the product of the parity series with f_a, so the witness is the first
-    difference between that product and f_b.  From _WORDS_MIN_TERMS on,
-    the low PREFILTER_TERMS coefficients are compared first, and then the
-    byte comb walks f_a's support starting from f_b's bytes, so no
-    product is built.
+    difference between that product and f_b, found without building the
+    product from _WORDS_MIN_TERMS on (see the module docstring).
     """
     if a < 1 or b < 1 or n_max < 1:
         raise ValueError("a, b, n_max must be positive")

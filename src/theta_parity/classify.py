@@ -17,15 +17,18 @@ never "proven".
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 from typing import Optional
+
+import numpy as np
 
 from .gf2series import (_WORDS_MIN_TERMS, PREFILTER_TERMS, Gf2Series,
                         comb_first_difference, support_bytes)
-from .numth import divisors, egyptian_a, vp
+from .numth import _isqrt_array, _ragged_arange, divisors, egyptian_a, vp
 from .quadform import WeberCertificate, weber_reject
-from .theta import theta_exponents, theta_series, theta_support
+from .theta import theta_exponents, theta_series
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -269,76 +272,215 @@ def theorem_prediction(bound: int) -> list[Triple]:
     return sorted(out)
 
 
-def first_positive(series: Gf2Series) -> int:
-    """The first positive support index of a series with constant term 1,
-    its n_terms if it has none.  brute_search cuts each pair's product at
-    the sum of its factors' values; any smaller cut is also exact."""
+def first_positive(series: Gf2Series, i: int = 1) -> int:
+    """The i-th positive support index of a series with constant term 1,
+    its n_terms if it has fewer; brute_search's x (i = 1) and x2 (i = 2)."""
     support = series.support
-    return support[1] if len(support) > 1 else series.n_terms
+    return support[i] if len(support) > i else series.n_terms
+
+
+def pair_window_end(x_b, x2_b, x_c, x2_c, n_terms: int) -> np.ndarray:
+    """Elementwise end of the exact low window of f_b*f_c, from the first
+    two positive indices of each factor: min(x_b + x2_c, x2_b + x_c, N).
+
+    Mod 2, f_b*f_c = f_b + f_c + 1 + (f_b + 1)*(f_c + 1), and every term
+    of the last product but q^(x_b + x_c) starts at or above that end.
+    Any smaller end is exact too, if q^(x_b + x_c) is added only below it.
+    """
+    return np.minimum(np.minimum(x_b + x2_c, x2_b + x_c), n_terms)
+
+
+# Pairs per numpy pass of brute_search; bounds its transient arrays.
+_BRUTE_BLOCK = 1024
+
+
+def _lowest_bit(words: np.ndarray) -> np.ndarray:
+    """Index of each word's lowest set bit, -1 for a zero word."""
+    return np.frexp((words & (~words + 1)).astype(np.float64))[1] - 1
+
+
+def _first_bits(rows: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each row of words, -1 for none."""
+    j = (rows != 0).argmax(1)
+    return 64 * j + _lowest_bit(rows[np.arange(len(rows)), j])
+
+
+def _flip(rows: np.ndarray, which: np.ndarray, k: np.ndarray) -> None:
+    """Flip bit k[i] of row which[i], in place."""
+    rows[which, k >> 6] ^= np.uint64(1) << (k & 63).astype(np.uint64)
+
+
+def _squares_at(roots: np.ndarray, k) -> np.ndarray:
+    """Whether a*k + 1 is a square, for each a in roots."""
+    v = roots * k + 1
+    y = _isqrt_array(v)
+    return y * y == v
+
+
+def _pair_blocks(bound: int):
+    """(b, c) for b <= c <= bound, in blocks of whole rows b of at most
+    _BRUTE_BLOCK pairs (or one row)."""
+    lo = 1
+    while lo <= bound:
+        hi, size = lo, bound - lo + 1
+        while hi < bound and size + bound - hi <= _BRUTE_BLOCK:
+            hi += 1
+            size += bound - hi + 1
+        b = np.arange(lo, hi + 1)
+        count = bound - b + 1
+        yield np.repeat(b, count), _ragged_arange(b, count)
+        lo = hi + 1
+
+
+class _CandidateRuns:
+    """The candidate a's of each key k1*n + k2, listed once per search.
+
+    They are the a <= a_cap with a*k + 1 square for k = k1 and k = k2
+    (k2 = 0: k1 alone), taken from the support of f_k for the larger k.
+    Each key's run of ascending a's lies in `a` at start, count; `keys`
+    is sorted.
+    """
+
+    def __init__(self, n: int, a_cap: int):
+        self.n, self.a_cap = n, a_cap
+        self.keys = self.start = self.count = self.a = np.zeros(0, np.int64)
+        self.roots = {}
+
+    def _roots(self, k: int) -> np.ndarray:  # a in [1, a_cap], a*k + 1 square
+        if k not in self.roots:
+            self.roots[k] = theta_exponents(k, self.a_cap + 1)[1:]
+        return self.roots[k]
+
+    def runs(self, keys: np.ndarray) -> tuple:
+        """(start, count) of the runs of the sorted, distinct keys."""
+        pos = np.searchsorted(self.keys, keys)
+        known = pos < len(self.keys)
+        known[known] = self.keys[pos[known]] == keys[known]
+        fresh = keys[~known]
+        if len(fresh):
+            k1, k2 = fresh // self.n, fresh % self.n
+            hi = np.where(k2 > 0, k2, k1)
+            roots = [self._roots(k) for k in hi.tolist()]
+            lens = np.array([len(r) for r in roots], dtype=np.int64)
+            flat = np.concatenate(roots)
+            ok = _squares_at(flat, np.repeat(k1 + k2 - hi, lens))
+            count = np.bincount(np.repeat(np.arange(len(fresh)), lens)[ok],
+                                minlength=len(fresh))
+            start = len(self.a) + np.cumsum(count) - count
+            self.a = np.concatenate([self.a, flat[ok]])
+            self.keys = np.concatenate([self.keys, fresh])
+            order = np.argsort(self.keys, kind="stable")
+            self.keys = self.keys[order]
+            self.start = np.concatenate([self.start, start])[order]
+            self.count = np.concatenate([self.count, count])[order]
+            pos = np.searchsorted(self.keys, keys)
+        return self.start[pos], self.count[pos]
 
 
 def brute_search(bound: int, n_terms: int) -> list[Triple]:
     """All (b <= c <= bound) admitting some integer a with f_a = f_b*f_c
     below n_terms, found without using the necessary-condition filters.
 
-    For each pair the product's two smallest nonzero support indices
-    k1 < k2 pin the possible a: a*k1 + 1 and a*k2 + 1 must both be
-    squares, so, as that is symmetric in a and k, the candidates are the
-    ascending intersection of the supports of f_k1 and f_k2 up to
-    4*n_terms (any true match has a < b, far below).  They are checked in
-    ascending order by full series equality, and the first match is kept.
+    The product's two smallest positive support indices k1 < k2 pin the
+    possible a: a*k1 + 1 and a*k2 + 1 must both be squares, so the
+    candidates are the a <= 4*n_terms in the support of f_k1 with
+    a*k2 + 1 square (any true match has a < b, far below).  The first in
+    ascending a that equals the product in full is kept.
 
-    The low coefficients of the product need no multiply.  Mod 2,
-    f_b*f_c = f_b + f_c + 1 + (f_b + 1)*(f_c + 1), and the last term
-    starts at x + y, where x and y are the first positive indices of f_b
-    and f_c.  So below cut = min(x + y, n_terms) the product is
-    f_b + f_c + 1; a factor with no positive index below n_terms is 1,
-    the product is the other factor, and cut = n_terms.  k1 and k2 are
-    read from those bits when both lie below the cut.  Otherwise (b = c,
-    x = y, or the sum has too few indices) they come from the full
-    product, for b = c the Frobenius square f_b(q^2).  A candidate a
-    whose f_a differs below the cut cannot equal the product, so it is
-    skipped without a full comparison.  The full product is formed at
-    most once per pair, and each match is confirmed by full equality.
-
-    Four caches local to the call do each piece of work once: f_m and
-    its first positive index per m, the support of f_k past a = 0 per k,
-    and the candidates per (k1, k2).  Nothing is kept between calls.
+    The pairs go through numpy in blocks of _BRUTE_BLOCK.  Below
+    pair_window_end the product is f_b + f_c + 1 + q^(x_b + x_c), read
+    without a multiply from each f_m's first words; k1 and k2 are its
+    lowest set bits, and the candidates whose f_a differs there are
+    dropped by array comparisons.  A pair with fewer than two positive
+    indices in its window takes k1, k2 and the window from the full
+    product (for b = c the Frobenius square f_b(q^2)), which is otherwise
+    formed only for a surviving candidate, at most once per pair.  Each
+    f_m is built once per call through theta_series.
     """
     if bound < 4 or n_terms < 8:
         raise ValueError("need bound >= 4 and n_terms >= 8")
-    a_cap = 4 * n_terms
-    theta = cache(lambda m: theta_series(m, n_terms))
-    roots = cache(lambda k: theta_support(k, a_cap + 1)[1:])  # drop a = 0
-    candidates = cache(lambda k1, k2: roots(k1) if k2 is None else
-                       sorted(set(roots(k1)).intersection(roots(k2))))
+    if 4 * n_terms * n_terms >= 1 << 63:  # a*k < 4*N^2 is int64 arithmetic
+        raise ValueError("need 4*n_terms^2 < 2^63")
+    n = n_terms
+    a_cap = 4 * n
+    theta = {}
 
-    first = cache(lambda m: first_positive(theta(m)))
+    def series(m):
+        if m not in theta:
+            theta[m] = theta_series(m, n)
+        return theta[m]
+
+    fs = [series(m) for m in range(1, bound + 1)]
+    x = np.array([n] + [first_positive(f) for f in fs])
+    x2 = np.array([n] + [first_positive(f, 2) for f in fs])
+    n_words = (min(n, int(x[1:].max() + x2[1:].max())) + 63) >> 6
+
+    def words(series_list):  # first n_words words of each, q^0 cleared
+        low = (1 << 64 * n_words) - 2
+        return np.frombuffer(b"".join(
+            (f.bits & low).to_bytes(8 * n_words, "little")
+            for f in series_list), dtype="<u8").reshape(-1, n_words)
+
+    table = words(fs)
+    row = np.full(max(a_cap, bound) + 1, -1)
+    row[1:bound + 1] = np.arange(bound)
+    cands = _CandidateRuns(n, a_cap)
+
+    def product(b, c):
+        b, c = int(b), int(c)
+        return fs[b - 1].square() if b == c else fs[b - 1].mul(fs[c - 1])
+
     found = []
-    for b in range(1, bound + 1):
-        fb, x = theta(b), first(b)
-        for c in range(b, bound + 1):
-            fc = theta(c)
-            mask = (1 << min(x + first(c), n_terms)) - 1
-            low = (fb.bits ^ fc.bits ^ 1) & mask
-            prod = None
-            rest = low >> 1  # bit j is the coefficient at j + 1
-            if (rest & (rest - 1)) == 0:
-                # fewer than two nonzero indices below the cut
-                prod = fb.square() if b == c else fb.mul(fc)
-                rest = prod.bits >> 1
-            if not rest:
-                continue
-            bit = rest & -rest
-            k1 = bit.bit_length()
-            rest ^= bit
-            k2 = (rest & -rest).bit_length() if rest else None
-            for a in candidates(k1, k2):
-                if (theta(a).bits & mask) != low:
-                    continue
-                if prod is None:
-                    prod = fb.mul(fc)
-                if theta(a) == prod:
-                    found.append(Triple(a, b, c))
+    for b, c in _pair_blocks(bound):
+        cut = pair_window_end(x[b], x2[b], x[c], x2[c], n)
+        win = table[row[b]]
+        win ^= table[row[c]]
+        e = x[b] + x[c]
+        extra = np.flatnonzero(e < cut)
+        _flip(win, extra, e[extra])
+        # the window's two lowest set bits (bits at and above cut are not
+        # the product's and are never read), k1 cleared for k2 and restored
+        k1 = _first_bits(win)
+        has = np.flatnonzero(k1 >= 0)
+        _flip(win, has, k1[has])
+        k2 = _first_bits(win)
+        _flip(win, has, k1[has])
+        two = (k2 >= 0) & (k2 < cut)
+        # a pair with fewer than two positive indices in its window reads
+        # k1 and k2 (0 if absent) and its window from the full product
+        prods = {}
+        for p in np.flatnonzero(~two).tolist():
+            prods[p] = prod = product(b[p], c[p])
+            rest = prod.bits >> 1  # bit j is the coefficient at j + 1
+            if rest:
+                bit = rest & -rest
+                rest ^= bit
+                k1[p], k2[p] = bit.bit_length(), (rest & -rest).bit_length()
+                two[p] = True
+        win[list(prods)] = words(prods.values())
+        cut[list(prods)] = n
+        # the candidates of each (k1, k2) in the block, then of each pair
+        keys, inv = np.unique(k1[two] * n + k2[two], return_inverse=True)
+        start, count = cands.runs(keys)
+        count = count[inv]
+        a = cands.a[_ragged_arange(start[inv], count)]
+        pair = np.repeat(np.flatnonzero(two), count)
+        new = np.flatnonzero(np.bincount(a[row[a] < 0]))
+        if len(new):
+            row[new] = len(table) + np.arange(len(new))
+            table = np.concatenate([table, words(map(series, new.tolist()))])
+        # drop the candidates that differ in the window: the first word
+        # weeds out most, and the survivors are compared in full
+        end = cut[pair]
+        for width in (1, n_words):
+            bit = _first_bits(table[row[a], :width] ^ win[pair, :width])
+            keep = (bit < 0) | (bit >= end)
+            a, pair, end = a[keep], pair[keep], end[keep]
+        for p, group in groupby(zip(pair.tolist(), a.tolist()),
+                                key=itemgetter(0)):
+            prod = prods[p] if p in prods else product(b[p], c[p])
+            for _, fa in group:
+                if series(fa) == prod:
+                    found.append(Triple(fa, int(b[p]), int(c[p])))
                     break
     return sorted(found)

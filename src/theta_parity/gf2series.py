@@ -12,7 +12,7 @@ mul() chooses between them by N alone:
 
   * below _WORDS_MIN_TERMS, a Python-int comb: acc ^= dense_bits << s.
     Its per-term overhead is the lowest, which suits short products:
-    the prefilter's at 4096 terms and brute_search's at a few thousand.
+    the prefilter's at 4096 terms and the few that brute_search forms.
   * at or above it, a numpy byte-offset comb: the denser operand's bytes
     are shifted by each residue s mod 8 once, then xored in place into
     the output at byte offset s >> 3.  It allocates no N-bit int per

@@ -2,8 +2,9 @@
 
 Everything here is a pure function on plain integers; Python's arbitrary
 precision arithmetic means quantities like y^2 with y up to isqrt(m*N)
-never overflow.  The one exception is _isqrt_array, the elementwise
-integer square root that the numpy kernels of theta and quadform share.
+never overflow.  The exceptions are the numpy helpers the kernels of
+theta, quadform and classify share: _isqrt_array, the elementwise integer
+square root, and _ragged_arange.
 """
 
 from __future__ import annotations
@@ -65,6 +66,14 @@ def _isqrt_array(x: np.ndarray) -> np.ndarray:
     t = s + 1
     s += (t * t).view(np.uint64) <= x.view(np.uint64)
     return s
+
+
+def _ragged_arange(start: np.ndarray, count: np.ndarray,
+                   step: int = 1) -> np.ndarray:
+    """The runs start[i] + step*j for j in [0, count[i]), concatenated."""
+    offsets = np.cumsum(count) - count
+    return np.repeat(start, count) + step * (np.arange(int(count.sum()))
+                                             - np.repeat(offsets, count))
 
 
 def egyptian_a(b: int, c: int) -> Optional[int]:

@@ -9,8 +9,9 @@ because 1/(q;q) = (q;q)^3 / (q;q)^4, (q;q)^3 = f_8 mod 2 (Jacobi's
 congruence, checked as euler_jacobi_check(3) by
 test_euler_jacobi_check_small and acceptance criterion 02), and
 (q;q)^4 = (q^4;q^4) mod 2 by two Frobenius squarings g(q) -> g(q^2).
-So P to precision m follows from P to precision ceil(m/4): each level
-quadruples the precision, and about log4 N levels suffice.
+So P to precision m follows from P to precision ceil(m/4): the levels
+run at ceil(N/4^j) terms for j from about log4 N down to 0, so the last
+two are N and ceil(N/4), never a power of 4 clipped to N.
 
 A level pads the k known bits with zeros to m <= 4k terms and squares
 twice.  The second square reads only the low ceil(m/2) bits of the
@@ -35,9 +36,11 @@ from .theta import theta_exponents, theta_series
 
 @lru_cache(maxsize=8)
 def _parity_bits(n_terms: int) -> int:
+    levels = [n_terms]
+    while levels[-1] > 1:
+        levels.append(-(-levels[-1] // 4))
     p = Gf2Series.one(1)  # P to precision 1
-    while p.n_terms < n_terms:
-        m = min(4 * p.n_terms, n_terms)
+    for m in reversed(levels[:-1]):
         p = Gf2Series(m, p.bits).square().square().mul(theta_series(8, m))
     return p.bits
 

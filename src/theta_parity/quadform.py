@@ -24,8 +24,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .numth import (ResidueClass, _isqrt_array, divisors, egyptian_a,
-                    is_prime, is_square, jacobi, primes_in_class,
+from .numth import (ResidueClass, _isqrt_array, _ragged_arange, divisors,
+                    egyptian_a, is_prime, is_square, jacobi, primes_in_class,
                     squarefree_part, vp)
 
 
@@ -246,14 +246,6 @@ def _rank_cut(D: int, lo: int, hi: int, k: int) -> tuple[int, int]:
     _, u_lo, counts = _row_bounds(D, x_hi - 1, x_hi)
     tied = np.sort((u_lo + counts)[counts == 1])
     return x_hi, int(tied[k - 1 - count_lo])
-
-
-def _ragged_arange(start: np.ndarray, count: np.ndarray,
-                   step: int = 1) -> np.ndarray:
-    """The runs start[i] + step*j for j in [0, count[i]), concatenated."""
-    offsets = np.cumsum(count) - count
-    return np.repeat(start, count) + step * (np.arange(int(count.sum()))
-                                             - np.repeat(offsets, count))
 
 
 def _annulus_runs(D: int, lo: int, hi: int, squares: np.ndarray,

@@ -1,6 +1,8 @@
+import tracemalloc
 from collections import Counter
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from theta_parity import classify
@@ -246,17 +248,17 @@ def test_brute_search_matches_reference_at_window_edge(n_terms):
     assert brute_search(60, n_terms) == reference_brute_search(60, n_terms)
 
 
-# Capping each factor's first positive index at 8 keeps the cut within
-# 16 terms, where f_b*f_c = f_b + f_c + 1 still holds, so hundreds of
-# pairs take k1 and k2 from the full product (1507 of 1830 at (60, 255),
-# 353 uncapped) and the skip of candidates that differ below the cut runs
-# on short masks.  At (50, 9) the series is shorter than the cap's cut.
+# Capping the end of each pair's exact window at 8 terms keeps it exact
+# (the extra term q^(x_b + x_c) is placed only below the capped end) and
+# sends hundreds of pairs through the full product (1110 of 1830 at
+# (60, 255), 85 uncapped), while the rest are decided on short masks.
+# At (50, 9) the series is barely longer than the cap.
 @pytest.mark.parametrize("bound, n_terms", [(60, 255), (40, 2000), (50, 9)])
 def test_brute_search_matches_reference_with_small_window(
         monkeypatch, bound, n_terms):
-    first_positive = classify.first_positive
-    monkeypatch.setattr(classify, "first_positive",
-                        lambda series: min(first_positive(series), 8))
+    window_end = classify.pair_window_end
+    monkeypatch.setattr(classify, "pair_window_end",
+                        lambda *args: np.minimum(window_end(*args), 8))
     assert (brute_search(bound, n_terms)
             == reference_brute_search(bound, n_terms))
 
@@ -271,11 +273,28 @@ def test_brute_search_forms_fewer_products_than_pairs(monkeypatch):
 
     monkeypatch.setattr(Gf2Series, "mul", counting_mul)
     assert brute_search(40, 2000) == theorem_prediction(40)
-    # below the cut the product is f_b + f_c + 1, so most of the 820
-    # pairs are decided without a multiply (213 products); without the
-    # skip of candidates that differ below the cut they take 792
+    # below the window's end the product is f_b + f_c + 1 plus at most
+    # one term, so most of the 820 pairs are decided without a multiply:
+    # 59 products (and 40 squares, b = c), where cutting at x_b + x_c
+    # formed 213 and skipping no candidate that differs below it 792
     assert set(calls) == {2000}
     assert 2 * calls[2000] < 40 * 41 // 2
+    assert calls[2000] < 80
+
+
+# The pairs are decided in blocks of _BRUTE_BLOCK, so the transient arrays
+# stay far below the f_m and candidate tables the search keeps: the peaks
+# read about 1.2 and 4.1 MB, where one block of all pairs read 3.4 and 11.6.
+@pytest.mark.parametrize("bound, limit_mb", [(200, 1.5), (1000, 8)])
+def test_brute_search_memory_stays_small(bound, limit_mb):
+    brute_search(24, 2000)
+    tracemalloc.start()
+    try:
+        brute_search(bound, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 10 ** 6, peak
 
 
 def test_brute_search_validation():
@@ -283,6 +302,8 @@ def test_brute_search_validation():
         brute_search(3, 100)
     with pytest.raises(ValueError):
         brute_search(4, 7)
+    with pytest.raises(ValueError, match="2\\^63"):
+        brute_search(4, 1 << 31)  # candidate arithmetic would wrap in int64
 
 
 def test_triple_validation():

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from theta_parity import partition
 from theta_parity.gf2series import Gf2Series
 from theta_parity.partition import (BM_CONJECTURED_PAIRS, BM_REFUTED_PAIRS,
                                     bm_first_failure, partition_parity)
@@ -138,3 +139,21 @@ def test_bm_validation():
         bm_first_failure(0, 8, 10)
     with pytest.raises(ValueError):
         bm_first_failure(6, 8, 0)
+
+
+def test_parity_levels_are_sized_from_n_down(monkeypatch):
+    # the levels run at ceil(N/4^j) terms, so at 300,400 the two largest
+    # multiplies are 300,400 and 75,100 terms, not 262,144 and 300,400
+    sizes = []
+    mul = Gf2Series.mul
+
+    def spy(self, other):
+        sizes.append(self.n_terms)
+        return mul(self, other)
+
+    monkeypatch.setattr(Gf2Series, "mul", spy)
+    partition._parity_bits.cache_clear()
+    partition_parity(300_400)
+    assert sorted(sizes, reverse=True)[:2] == [300_400, 75_100]
+    assert 262_144 not in sizes
+    assert sizes == sorted(sizes)

@@ -196,7 +196,6 @@ def test_theta_series_round_trip():
 def test_theta_product_is_sum_plus_one_below_first_indices(b, c, n):
     # Mod 2, f_b*f_c = f_b + f_c + 1 + (f_b + 1)*(f_c + 1), and the last
     # term starts at x + y, the sum of the first positive indices.
-    # brute_search reads the product's low coefficients from this.
     fb, fc = theta_series(b, n), theta_series(c, n)
     prod = fb.mul(fc)
     total = fb.bits ^ fc.bits ^ 1
@@ -210,3 +209,32 @@ def test_theta_product_is_sum_plus_one_below_first_indices(b, c, n):
     assert prod.bits & ((1 << cut) - 1) == total & ((1 << cut) - 1)
     if x + y < n:
         assert prod.coeff(x + y) != (total >> (x + y)) & 1
+
+
+def first_two_positive(series):
+    """A series' first two positive support indices, n_terms where absent."""
+    rest = list(series.support[1:3]) + [series.n_terms] * 2
+    return rest[0], rest[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(8, 3000))
+@example(7, 7, 2000)      # b = c: the two ends coincide and the terms cancel
+@example(1, 300, 8)       # f_300 has no positive index below 8
+@example(5, 300, 20)      # f_300 has exactly one below 20, at 8
+def test_theta_product_has_one_extra_term_below_second_indices(b, c, n):
+    # Every term of (f_b + 1)*(f_c + 1) but q^(x_b + x_c) starts at or
+    # above min(x_b + x2_c, x2_b + x_c), where x and x2 are a factor's
+    # first two positive indices.  brute_search reads the product's low
+    # coefficients from this.
+    fb, fc = theta_series(b, n), theta_series(c, n)
+    (x_b, x2_b), (x_c, x2_c) = first_two_positive(fb), first_two_positive(fc)
+    cut = min(x_b + x2_c, x2_b + x_c, n)
+    total = fb.bits ^ fc.bits ^ 1
+    if x_b + x_c < cut:
+        total ^= 1 << (x_b + x_c)
+    prod = fb.mul(fc)
+    assert prod.bits & ((1 << cut) - 1) == total & ((1 << cut) - 1)
+    if cut < n and x_b + x2_c != x2_b + x_c:
+        # one term sits at the end, so the identity stops there
+        assert prod.coeff(cut) != (total >> cut) & 1

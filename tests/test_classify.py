@@ -275,16 +275,17 @@ def test_brute_search_forms_fewer_products_than_pairs(monkeypatch):
     assert brute_search(40, 2000) == theorem_prediction(40)
     # below the window's end the product is f_b + f_c + 1 plus at most
     # one term, so most of the 820 pairs are decided without a multiply:
-    # 59 products (and 40 squares, b = c), where cutting at x_b + x_c
-    # formed 213 and skipping no candidate that differs below it 792
+    # 59 products and 40 squares (b = c), where cutting at x_b + x_c
+    # formed 173 and 40, and skipping no candidate that differs below it
+    # 792 products
     assert set(calls) == {2000}
     assert 2 * calls[2000] < 40 * 41 // 2
     assert calls[2000] < 80
 
 
 # The pairs are decided in blocks of _BRUTE_BLOCK, so the transient arrays
-# stay far below the f_m and candidate tables the search keeps: the peaks
-# read about 1.2 and 4.1 MB, where one block of all pairs read 3.4 and 11.6.
+# stay small beside the series the search keeps: the peaks read about 1.2
+# and 4.1 MB, where one block of all pairs read 6.8 and 342 MB.
 @pytest.mark.parametrize("bound, limit_mb", [(200, 1.5), (1000, 8)])
 def test_brute_search_memory_stays_small(bound, limit_mb):
     brute_search(24, 2000)

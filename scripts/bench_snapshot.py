@@ -22,12 +22,15 @@ layer times move by tens of percent on noise.
 With two or more checkouts it also counts the rounds in which the first
 one read lower than each other one (ties count for neither).
 
-The north-star figures are timed once per checkout, each in a fresh
-interpreter, with that process's maximum resident set size:
+The north-star figures are timed FIGURE_RUNS times per checkout, the
+checkouts alternating which runs first, each in a fresh interpreter with
+that process's maximum resident set size; the snapshot keeps the median
+seconds and RSS and every run's seconds.  The figures are:
 partition_parity(10^7), bm_first_failure(6, 8, 10^7),
 verify_triple(4, 6, 12, 10^7), theta_support(552, 10^9),
-brute_search(1000, 2000), the size of CI's brute-force cross-check, and
-the Weber searches of classify's 47 candidates (the certificates found).
+brute_search(1000, 2000), brute_search(2000, 4000), the size of CI's
+brute-force cross-check, and the Weber searches of classify's 47
+candidates (the certificates found).
 So is the Tier-1 test suite, run as TIER1 with the checkout's src on
 PYTHONPATH: its wall time, exit code and pytest's summary line.
 """
@@ -46,6 +49,7 @@ WORKLOADS = ("classify", "brute", "parity")
 METRICS = ("solve_s", "peak_mem_mb", "setup_s")
 SEEDS = range(1, 11)
 LAYER_SEEDS = SEEDS[:3]
+FIGURE_RUNS = 3
 SECONDS = json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 
@@ -65,6 +69,9 @@ NORTH_STAR = {
     "brute_search(1000, 2000)":
         "from theta_parity.classify import brute_search\n"
         "result = len(brute_search(1000, 2000))",
+    "brute_search(2000, 4000)":
+        "from theta_parity.classify import brute_search\n"
+        "result = len(brute_search(2000, 4000))",
     "weber_reject over classify's 47 candidates":
         "from theta_parity.classify import (WEBER_BOUND, WEBER_MAX_ENUMERATED,\n"
         "                                   enumerate_candidates)\n"
@@ -128,6 +135,15 @@ def figure(checkout: Path, code: str) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+def figure_medians(recs: list) -> dict:
+    results = {json.dumps(r["result"]) for r in recs}
+    return {"seconds": statistics.median(r["seconds"] for r in recs),
+            "max_rss_mb": statistics.median(r["max_rss_mb"] for r in recs),
+            "result": recs[0]["result"] if len(results) == 1 else
+            [r["result"] for r in recs],
+            "runs": [r["seconds"] for r in recs]}
+
+
 def tier1(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     t0 = time.perf_counter()
@@ -180,6 +196,14 @@ def main() -> int:
                 print(f"{workload} seed {seed} {name} traced: {rec}",
                       file=sys.stderr, flush=True)
 
+    figures = {name: {label: [] for label in NORTH_STAR} for name in names}
+    for label, code in NORTH_STAR.items():
+        for i in range(FIGURE_RUNS):
+            for name in names if i % 2 == 0 else names[::-1]:
+                rec = figure(checkouts[name], code)
+                figures[name][label].append(rec)
+                print(f"{name} {label}: {rec}", file=sys.stderr, flush=True)
+
     snapshot = {
         "label": args.label,
         "machine": {k: machine[k] for k in ("nproc", "cpu", "python", "numpy")}
@@ -187,6 +211,7 @@ def main() -> int:
         "settings": {"pairs": len(SEEDS), "seconds": float(SECONDS),
                      "seeds": [SEEDS[0], SEEDS[-1]],
                      "layer_seeds": [LAYER_SEEDS[0], LAYER_SEEDS[-1]],
+                     "figure_runs": FIGURE_RUNS,
                      "order": "checkouts alternate which runs first"},
         "checkouts": {},
     }
@@ -201,10 +226,8 @@ def main() -> int:
                               if attempted else 1.0),
                 "all_correct": all(r["correct"] for r in recs)}
             side["layers"][workload] = layer_medians(layers[name][workload])
-        for label, code in NORTH_STAR.items():
-            side["north_star"][label] = figure(checkouts[name], code)
-            print(f"{name} {label}: {side['north_star'][label]}", file=sys.stderr,
-                  flush=True)
+        for label, recs in figures[name].items():
+            side["north_star"][label] = figure_medians(recs)
         side["tier1"] = tier1(checkouts[name])
         print(f"{name} tier-1: {side['tier1']}", file=sys.stderr, flush=True)
         snapshot["checkouts"][name] = side

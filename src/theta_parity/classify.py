@@ -18,17 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import groupby
-from math import gcd
+from math import gcd, isqrt
 from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 from .gf2series import (_WORDS_MIN_TERMS, PREFILTER_TERMS, Gf2Series,
-                        comb_first_difference, support_bytes)
-from .numth import _isqrt_array, _ragged_arange, divisors, egyptian_a, vp
+                        comb_first_difference, row_supports, support_bytes)
+from .numth import _is_square_array, _ragged_arange, divisors, egyptian_a, vp
 from .quadform import WeberCertificate, weber_reject
-from .theta import theta_exponents, theta_series
+from .theta import theta_exponents, theta_rows, theta_series
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -272,13 +272,6 @@ def theorem_prediction(bound: int) -> list[Triple]:
     return sorted(out)
 
 
-def first_positive(series: Gf2Series, i: int = 1) -> int:
-    """The i-th positive support index of a series with constant term 1,
-    its n_terms if it has fewer; brute_search's x (i = 1) and x2 (i = 2)."""
-    support = series.support
-    return support[i] if len(support) > i else series.n_terms
-
-
 def pair_window_end(x_b, x2_b, x_c, x2_c, n_terms: int) -> np.ndarray:
     """Elementwise end of the exact low window of f_b*f_c, from the first
     two positive indices of each factor: min(x_b + x2_c, x2_b + x_c, N).
@@ -310,11 +303,25 @@ def _flip(rows: np.ndarray, which: np.ndarray, k: np.ndarray) -> None:
     rows[which, k >> 6] ^= np.uint64(1) << (k & 63).astype(np.uint64)
 
 
-def _squares_at(roots: np.ndarray, k) -> np.ndarray:
-    """Whether a*k + 1 is a square, for each a in roots."""
-    v = roots * k + 1
-    y = _isqrt_array(v)
-    return y * y == v
+def _two_lowest_bits(rows: np.ndarray) -> tuple:
+    """The two lowest set bits of each row of words, -1 where absent;
+    the lowest is cleared to find the second, then restored."""
+    k1 = _first_bits(rows)
+    has = np.flatnonzero(k1 >= 0)
+    _flip(rows, has, k1[has])
+    k2 = _first_bits(rows)
+    _flip(rows, has, k1[has])
+    return k1, k2
+
+
+def _series(rows: np.ndarray, n_terms: int) -> list:
+    """One Gf2Series per row of packed little-endian bytes, its support
+    attached, as the multiply walks it."""
+    row, k = row_supports(rows)
+    ends = np.cumsum(np.bincount(row, minlength=len(rows)))
+    supports = np.split(k, ends[:-1])
+    return [Gf2Series(n_terms, int.from_bytes(r.tobytes(), "little"),
+                      tuple(s.tolist())) for r, s in zip(rows, supports)]
 
 
 def _pair_blocks(bound: int):
@@ -338,18 +345,45 @@ class _CandidateRuns:
     They are the a <= a_cap with a*k + 1 square for k = k1 and k = k2
     (k2 = 0: k1 alone), taken from the support of f_k for the larger k.
     Each key's run of ascending a's lies in `a` at start, count; `keys`
-    is sorted.
+    is sorted, and each call merges its fresh keys in at their places.
+    The supports of f_k (q^0 left out) lie in `roots` at root_start[k],
+    root_count[k], which is -1 until built; both are indexed up to the
+    largest k seen.
     """
 
     def __init__(self, n: int, a_cap: int):
         self.n, self.a_cap = n, a_cap
-        self.keys = self.start = self.count = self.a = np.zeros(0, np.int64)
-        self.roots = {}
+        self.keys = self.start = self.count = np.zeros(0, np.int64)
+        self.a = self.roots = self.root_start = self.root_count = np.zeros(
+            0, np.int64)
 
-    def _roots(self, k: int) -> np.ndarray:  # a in [1, a_cap], a*k + 1 square
-        if k not in self.roots:
-            self.roots[k] = theta_exponents(k, self.a_cap + 1)[1:]
-        return self.roots[k]
+    def _add_roots(self, ks: np.ndarray) -> None:
+        """Build the supports for the ascending ks, each in [1, n), in
+        numpy passes over about 2^15 candidate roots.
+
+        Each is theta_exponents(k, a_cap + 1)'s root branch, run for many
+        k at once: a*k + 1 = y^2 with y = r + j*k up to isqrt(k*a_cap + 1),
+        for the roots r in [1, k] of r^2 = 1 (mod k).
+        """
+        cuts = np.flatnonzero(np.diff(np.cumsum(ks) >> 15)) + 1
+        for ks in np.split(ks, cuts):
+            lim = np.array([isqrt(k * self.a_cap + 1) for k in ks.tolist()])
+            owner = np.repeat(np.arange(len(ks)), ks)
+            k = ks[owner]
+            r = _ragged_arange(np.ones_like(ks), ks)
+            unit = np.flatnonzero((r * r - 1) % k == 0)
+            owner, k, r = owner[unit], k[unit], r[unit]
+            steps = (lim[owner] - r) // k + 1
+            owner, k = np.repeat(owner, steps), np.repeat(k, steps)
+            y = np.repeat(r, steps) + k * _ragged_arange(
+                np.zeros_like(steps), steps)
+            a = (y * y - 1) // k
+            order = np.argsort(owner * (self.a_cap + 1) + a)
+            order = order[a[order] > 0]  # each k's y = 1
+            count = np.bincount(owner[order], minlength=len(ks))
+            self.root_start[ks] = len(self.roots) + np.cumsum(count) - count
+            self.root_count[ks] = count
+            self.roots = np.concatenate([self.roots, a[order]])
 
     def runs(self, keys: np.ndarray) -> tuple:
         """(start, count) of the runs of the sorted, distinct keys."""
@@ -360,19 +394,32 @@ class _CandidateRuns:
         if len(fresh):
             k1, k2 = fresh // self.n, fresh % self.n
             hi = np.where(k2 > 0, k2, k1)
-            roots = [self._roots(k) for k in hi.tolist()]
-            lens = np.array([len(r) for r in roots], dtype=np.int64)
-            flat = np.concatenate(roots)
-            ok = _squares_at(flat, np.repeat(k1 + k2 - hi, lens))
+            grow = int(hi.max()) + 1 - len(self.root_count)
+            if grow > 0:  # index the roots up to the largest k seen
+                self.root_start = np.append(self.root_start,
+                                            np.zeros(grow, np.int64))
+                self.root_count = np.append(self.root_count,
+                                            np.full(grow, -1))
+            new = np.flatnonzero(np.bincount(hi[self.root_count[hi] < 0]))
+            if len(new):
+                self._add_roots(new)
+            lens = self.root_count[hi]
+            flat = self.roots[_ragged_arange(self.root_start[hi], lens)]
+            ok = _is_square_array(flat * np.repeat(k1 + k2 - hi, lens) + 1)
             count = np.bincount(np.repeat(np.arange(len(fresh)), lens)[ok],
                                 minlength=len(fresh))
             start = len(self.a) + np.cumsum(count) - count
             self.a = np.concatenate([self.a, flat[ok]])
-            self.keys = np.concatenate([self.keys, fresh])
-            order = np.argsort(self.keys, kind="stable")
-            self.keys = self.keys[order]
-            self.start = np.concatenate([self.start, start])[order]
-            self.count = np.concatenate([self.count, count])[order]
+            # merge: the fresh keys' places in the grown, sorted store
+            slot = pos[~known] + np.arange(len(fresh))
+            old = np.ones(len(self.keys) + len(fresh), dtype=bool)
+            old[slot] = False
+            merged = []
+            for prev, value in ((self.keys, fresh), (self.start, start),
+                                (self.count, count)):
+                merged.append(np.empty(len(old), np.int64))
+                merged[-1][old], merged[-1][slot] = prev, value
+            self.keys, self.start, self.count = merged
             pos = np.searchsorted(self.keys, keys)
         return self.start[pos], self.count[pos]
 
@@ -394,8 +441,10 @@ def brute_search(bound: int, n_terms: int) -> list[Triple]:
     dropped by array comparisons.  A pair with fewer than two positive
     indices in its window takes k1, k2 and the window from the full
     product (for b = c the Frobenius square f_b(q^2)), which is otherwise
-    formed only for a surviving candidate, at most once per pair.  Each
-    f_m is built once per call through theta_series.
+    formed only for a surviving candidate, at most once per pair.  Every
+    f_m is built by theta_rows: f_1..f_bound in one call, then per block
+    the window words of the new candidates and the full f_a of the
+    survivors not yet built.
     """
     if bound < 4 or n_terms < 8:
         raise ValueError("need bound >= 4 and n_terms >= 8")
@@ -403,16 +452,12 @@ def brute_search(bound: int, n_terms: int) -> list[Triple]:
         raise ValueError("need 4*n_terms^2 < 2^63")
     n = n_terms
     a_cap = 4 * n
-    theta = {}
-
-    def series(m):
-        if m not in theta:
-            theta[m] = theta_series(m, n)
-        return theta[m]
-
-    fs = [series(m) for m in range(1, bound + 1)]
-    x = np.array([n] + [first_positive(f) for f in fs])
-    x2 = np.array([n] + [first_positive(f, 2) for f in fs])
+    rows = theta_rows(np.arange(1, bound + 1), n)
+    fs = dict(zip(range(1, bound + 1), _series(rows, n)))
+    table = rows.view("<u8")
+    table[:, 0] &= ~np.uint64(1)  # q^0 cleared
+    x, x2 = (np.concatenate([[n], np.where(k < 0, n, k)])
+             for k in _two_lowest_bits(table))
     n_words = (min(n, int(x[1:].max() + x2[1:].max())) + 63) >> 6
 
     def words(series_list):  # first n_words words of each, q^0 cleared
@@ -421,14 +466,14 @@ def brute_search(bound: int, n_terms: int) -> list[Triple]:
             (f.bits & low).to_bytes(8 * n_words, "little")
             for f in series_list), dtype="<u8").reshape(-1, n_words)
 
-    table = words(fs)
+    table = table[:, :n_words].copy()
     row = np.full(max(a_cap, bound) + 1, -1)
     row[1:bound + 1] = np.arange(bound)
     cands = _CandidateRuns(n, a_cap)
 
     def product(b, c):
         b, c = int(b), int(c)
-        return fs[b - 1].square() if b == c else fs[b - 1].mul(fs[c - 1])
+        return fs[b].square() if b == c else fs[b].mul(fs[c])
 
     found = []
     for b, c in _pair_blocks(bound):
@@ -439,12 +484,8 @@ def brute_search(bound: int, n_terms: int) -> list[Triple]:
         extra = np.flatnonzero(e < cut)
         _flip(win, extra, e[extra])
         # the window's two lowest set bits (bits at and above cut are not
-        # the product's and are never read), k1 cleared for k2 and restored
-        k1 = _first_bits(win)
-        has = np.flatnonzero(k1 >= 0)
-        _flip(win, has, k1[has])
-        k2 = _first_bits(win)
-        _flip(win, has, k1[has])
+        # the product's and are never read)
+        k1, k2 = _two_lowest_bits(win)
         two = (k2 >= 0) & (k2 < cut)
         # a pair with fewer than two positive indices in its window reads
         # k1 and k2 (0 if absent) and its window from the full product
@@ -467,8 +508,11 @@ def brute_search(bound: int, n_terms: int) -> list[Triple]:
         pair = np.repeat(np.flatnonzero(two), count)
         new = np.flatnonzero(np.bincount(a[row[a] < 0]))
         if len(new):
+            # whole words of the window, and no coefficient at or past N
+            rows = theta_rows(new, min(n, 64 * n_words)).view("<u8")
+            rows[:, 0] &= ~np.uint64(1)
             row[new] = len(table) + np.arange(len(new))
-            table = np.concatenate([table, words(map(series, new.tolist()))])
+            table = np.concatenate([table, rows])
         # drop the candidates that differ in the window: the first word
         # weeds out most, and the survivors are compared in full
         end = cut[pair]
@@ -476,11 +520,14 @@ def brute_search(bound: int, n_terms: int) -> list[Triple]:
             bit = _first_bits(table[row[a], :width] ^ win[pair, :width])
             keep = (bit < 0) | (bit >= end)
             a, pair, end = a[keep], pair[keep], end[keep]
+        need = sorted(set(a.tolist()).difference(fs))
+        if need:
+            fs.update(zip(need, _series(theta_rows(need, n), n)))
         for p, group in groupby(zip(pair.tolist(), a.tolist()),
                                 key=itemgetter(0)):
             prod = prods[p] if p in prods else product(b[p], c[p])
             for _, fa in group:
-                if series(fa) == prod:
+                if fs[fa] == prod:
                     found.append(Triple(fa, int(b[p]), int(c[p])))
                     break
     return sorted(found)

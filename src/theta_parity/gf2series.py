@@ -64,6 +64,16 @@ def support_bytes(exps: np.ndarray, n_terms: int) -> np.ndarray:
     return out
 
 
+def row_supports(rows: np.ndarray) -> tuple:
+    """The set bits of a 2-D array of little-endian byte rows, as int64
+    arrays (row, k) ordered by row and then k.  Only the nonzero bytes
+    are unpacked, so memory beyond the rows is O(|support|)."""
+    row, byte = np.nonzero(rows)
+    bits = np.unpackbits(rows[row, byte, None], axis=1, bitorder="little") != 0
+    return (np.broadcast_to(row[:, None], bits.shape)[bits],
+            (8 * byte[:, None] + np.arange(8))[bits])
+
+
 def _xor_comb(out: np.ndarray, dense: np.ndarray, exps: np.ndarray) -> None:
     """Xor into the bytes `out` the product of the bytes `dense` with the
     series whose support is the int64 array `exps`, cut to len(out) bytes.

@@ -4,7 +4,8 @@ Everything here is a pure function on plain integers; Python's arbitrary
 precision arithmetic means quantities like y^2 with y up to isqrt(m*N)
 never overflow.  The exceptions are the numpy helpers the kernels of
 theta, quadform and classify share: _isqrt_array, the elementwise integer
-square root, and _ragged_arange.
+square root, _is_square_array, the elementwise squareness test, and
+_ragged_arange.
 """
 
 from __future__ import annotations
@@ -66,6 +67,19 @@ def _isqrt_array(x: np.ndarray) -> np.ndarray:
     t = s + 1
     s += (t * t).view(np.uint64) <= x.view(np.uint64)
     return s
+
+
+def _is_square_array(x: np.ndarray) -> np.ndarray:
+    """Whether each entry of a non-negative int64 array is a perfect square.
+
+    A square x = y^2 below 2^63 has y < 2^32, and its float square root
+    is within 10^-6 of y, so rounding gives y exactly and y*y == x.  For
+    a non-square no integer squares to x; the one rounded root whose
+    square passes 2^63, 3037000500, wraps to a negative int64, which
+    equals no entry either.
+    """
+    y = np.rint(np.sqrt(x.astype(np.float64))).astype(np.int64)
+    return y * y == x
 
 
 def _ragged_arange(start: np.ndarray, count: np.ndarray,

@@ -4,8 +4,10 @@ from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from theta_parity import classify
+from theta_parity import classify, theta
 from theta_parity.classify import (SPORADIC_TRIPLES, Triple,
                                    VERIFIED, REFUTED, brute_search,
                                    candidate_filter, egyptian_a,
@@ -15,7 +17,7 @@ from theta_parity.classify import (SPORADIC_TRIPLES, Triple,
 from theta_parity.gf2series import Gf2Series
 from theta_parity.numth import is_square, vp
 from theta_parity.quadform import repcount
-from theta_parity.theta import theta_series
+from theta_parity.theta import theta_exponents, theta_series
 
 
 def reference_brute_search(bound, n_terms=2000, a_cap=None):
@@ -228,17 +230,72 @@ def test_brute_search_matches_reference(bound, n_terms, a_cap):
             == reference_brute_search(bound, n_terms, a_cap))
 
 
-def test_brute_search_builds_each_theta_series_once(monkeypatch):
-    calls = Counter()
+def test_brute_search_builds_each_theta_row_once(monkeypatch):
+    # every f_m comes from batched theta_rows calls: f_1..f_40 at full
+    # length in one call, then window rows and survivors' full rows per
+    # block, and no m is built twice at one width
+    series_calls, rows = Counter(), Counter()
+    theta_rows = classify.theta_rows
 
     def counting_theta_series(m, n_terms):
-        calls[m] += 1
+        series_calls[m] += 1
         return theta_series(m, n_terms)
 
+    def counting_theta_rows(ms, width):
+        rows.update((m, width) for m in np.asarray(ms).tolist())
+        return theta_rows(ms, width)
+
     monkeypatch.setattr(classify, "theta_series", counting_theta_series)
+    monkeypatch.setattr(theta, "theta_series", counting_theta_series)
+    monkeypatch.setattr(classify, "theta_rows", counting_theta_rows)
     assert brute_search(40, 2000) == theorem_prediction(40)
-    assert set(range(1, 41)) <= set(calls)
-    assert max(calls.values()) == 1
+    assert not series_calls
+    assert {(m, 2000) for m in range(1, 41)} <= set(rows)
+    assert max(rows.values()) == 1
+
+
+def candidate_oracle(key, n, a_cap):
+    """The a in [1, a_cap] with a*k1 + 1 square and, unless k2 = 0,
+    a*k2 + 1 square, ascending."""
+    k1, k2 = divmod(key, n)
+    return [a for a in range(1, a_cap + 1)
+            if is_square(a * k1 + 1) is not None
+            and (k2 == 0 or is_square(a * k2 + 1) is not None)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 90), st.data())
+def test_candidate_runs_match_a_per_key_oracle(n, data):
+    # the first key k2 = 0 and k1 < k2 < n otherwise, as brute_search
+    # forms them; batches of sorted distinct keys drawn from a small pool,
+    # so later batches mix fresh keys with known ones
+    pair = st.tuples(st.integers(1, n - 1), st.integers(0, n - 1)).filter(
+        lambda k: k[1] == 0 or k[0] < k[1])
+    pool = data.draw(st.lists(pair, min_size=1, max_size=12, unique=True))
+    cands, a_cap, want = classify._CandidateRuns(n, 4 * n), 4 * n, {}
+    for _ in range(data.draw(st.integers(1, 5))):
+        batch = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   unique=True))
+        keys = np.array(sorted(k1 * n + k2 for k1, k2 in batch), np.int64)
+        start, count = cands.runs(keys)
+        for key, s, c in zip(keys.tolist(), start.tolist(), count.tolist()):
+            if key not in want:
+                want[key] = candidate_oracle(key, n, a_cap)
+            assert cands.a[s:s + c].tolist() == want[key]
+    assert sorted(cands.keys.tolist()) == cands.keys.tolist() == sorted(want)
+
+
+def test_candidate_runs_roots_span_several_passes():
+    # fresh k's summing past 2^15 are rooted in three numpy passes; with
+    # k2 = 0 a key's candidates are f_k's support at a_cap + 1 terms,
+    # q^0 left out
+    n = 40_000
+    cands = classify._CandidateRuns(n, 4 * n)
+    ks = [24, 30_000, 35_000, 39_999]
+    start, count = cands.runs(np.array(ks, np.int64) * n)
+    for k, s, c in zip(ks, start.tolist(), count.tolist()):
+        assert np.array_equal(cands.a[s:s + c],
+                              theta_exponents(k, 4 * n + 1)[1:])
 
 
 # Lengths that straddle a multiple of 8 bits: at 255 and 256 the series

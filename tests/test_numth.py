@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_parity.numth import (_MR_BASES, _MR_BOUND, _MR_PSI, ResidueClass,
-                                _isqrt_array, is_prime, is_square, jacobi,
-                                primes_in_class, squarefree_part, vp)
+                                _is_square_array, _isqrt_array, is_prime,
+                                is_square, jacobi, primes_in_class,
+                                squarefree_part, vp)
 
 
 def test_is_square_examples():
@@ -129,19 +130,30 @@ def test_is_prime_rejects_values_beyond_deterministic_bound():
             is_prime(n)
 
 
-def test_isqrt_array_exact_over_int64():
-    # around squares up to isqrt(2^63 - 1) = 3037000499, where (s + 1)^2
-    # no longer fits in int64, and at random values up to 2^63 - 1
+def int64_probes():
+    """Values around squares up to isqrt(2^63 - 1) = 3037000499, where
+    (s + 1)^2 no longer fits in int64, and random values up to 2^63 - 1."""
     rng = random.Random(13)
     roots = [1, 2, 3, 2 ** 31, 3037000498, 3037000499] + [
         rng.randrange(1, 3037000500) for _ in range(2000)]
     xs = [x for k in roots for x in (k * k - 1, k * k, k * k + 1)
           if x < 2 ** 63]
-    xs += [0, 2 ** 62, 2 ** 63 - 2, 2 ** 63 - 1] + [
+    return xs + [0, 2 ** 62, 2 ** 63 - 2, 2 ** 63 - 1] + [
         rng.randrange(2 ** 63) for _ in range(2000)]
+
+
+def test_isqrt_array_exact_over_int64():
+    xs = int64_probes()
     got = _isqrt_array(np.array(xs, dtype=np.int64))
     assert got.dtype == np.int64
     assert got.tolist() == [math.isqrt(x) for x in xs]
+
+
+def test_is_square_array_exact_over_int64():
+    xs = int64_probes()
+    got = _is_square_array(np.array(xs, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(x) ** 2 == x for x in xs]
+    assert sum(got) > 2000  # the probes hold squares, near 2^63 too
 
 
 def twelve_base_is_prime(n):

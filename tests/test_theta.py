@@ -2,6 +2,7 @@ import time
 import tracemalloc
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,8 @@ from theta_parity import theta
 from theta_parity.gf2series import Gf2Series
 from theta_parity.theta import (EULER_JACOBI_EXPONENTS, eta_power_series,
                                 eta_support, euler_jacobi_check,
-                                theta_series, theta_support)
+                                theta_exponents, theta_rows, theta_series,
+                                theta_support)
 
 
 def scan_support(m, n_terms):
@@ -116,6 +118,85 @@ def test_theta_support_validation():
         theta_support(0, 10)
     with pytest.raises(ValueError):
         theta_support(4, 0)
+
+
+def row_exponents(rows, width):
+    """The set bits of each packed row, as lists; none at or past width."""
+    bits = np.unpackbits(rows, axis=1, bitorder="little")
+    assert not bits[:, width:].any()
+    return [np.flatnonzero(b).tolist() for b in bits]
+
+
+@st.composite
+def theta_row_inputs(draw):
+    """Up to five m in [1, 10^5] and a width around a byte or word edge;
+    some m are r*(r*k0 + 2), whose f_m has k0 < width in its support."""
+    width = draw(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 255, 256, 257]))
+    planted = st.builds(lambda k0, r: r * (r * k0 + 2),
+                        st.integers(0, width - 1), st.integers(1, 300))
+    m = st.one_of(st.integers(1, 10 ** 5),
+                  planted.filter(lambda m: m <= 10 ** 5))
+    return draw(st.lists(m, min_size=1, max_size=5)), width
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta_row_inputs())
+@example(([1, 2, 24, 256], 257))        # m <= 4*width: the root branch
+@example(([1029, 10 ** 5, 99_999], 257))  # m > 4*width: the direct branch
+@example(([4 * 65 + 1, 24 * 24 * 64 + 48], 65))
+def test_theta_rows_match_theta_exponents_and_scan_oracle(inputs):
+    # for m > 4*width theta_exponents reads theta_rows itself, so the
+    # scan oracle is what checks that branch
+    ms, width = inputs
+    rows = theta_rows(ms, width)
+    assert rows.dtype == np.uint8
+    assert rows.shape == (len(ms), 8 * ((width + 63) // 64))
+    for m, got in zip(ms, row_exponents(rows, width)):
+        assert got == theta_exponents(m, width).tolist()
+        assert got == scan_support(m, width)
+
+
+def test_theta_rows_exact_just_below_int64_limit():
+    # m*64 within 2% of 2^63, and m*63 + 1 = y^2 near 2^63, where the
+    # float square root alone cannot tell y^2 from y^2 +- 1
+    y = isqrt((2 ** 63 - 1) * 63 // 64)
+    while (y * y - 1) % 63:
+        y -= 1
+    m = (y * y - 1) // 63
+    assert 0.98 * 2 ** 63 < m * 64 < 2 ** 63
+    [got] = row_exponents(theta_rows([m], 64), 64)
+    assert got == scan_support(m, 64)
+    assert got[-1] == 63
+
+
+def test_theta_rows_splits_long_rows_and_bounds_memory():
+    # rows longer than the numpy step are tested in byte-aligned slices;
+    # a thousand rows at once stay far below the 16 MB an unchunked
+    # int64 pass would take
+    width = 3 * theta._ROW_CHUNK + 5
+    ms = [1, 24, 2 * width + 1]
+    for m, got in zip(ms, row_exponents(theta_rows(ms, width), width)):
+        assert got == scan_support(m, width)
+    tracemalloc.start()
+    try:
+        theta_rows(range(1, 1001), 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10 ** 6, peak
+
+
+def test_theta_rows_validation():
+    with pytest.raises(ValueError, match="2\\^63"):
+        theta_rows([2 ** 62], 2)
+    with pytest.raises(ValueError, match="2\\^63"):
+        theta_rows([3, 2 ** 63 // 5 + 1], 5)
+    # (2^62 - 1)*1 + 1 = (2^31)^2
+    assert row_exponents(theta_rows([2 ** 62 - 1], 2), 2) == [[0, 1]]
+    for ms, width in (([0], 5), ([3, -1], 5), ([3], 0)):
+        with pytest.raises(ValueError):
+            theta_rows(ms, width)
+    assert theta_rows([], 9).shape == (0, 8)
 
 
 def test_eta_support_examples():

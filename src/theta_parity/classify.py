@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import groupby
-from math import gcd, isqrt
+from math import gcd
 from operator import itemgetter
 from typing import Optional
 
@@ -346,44 +346,17 @@ class _CandidateRuns:
     (k2 = 0: k1 alone), taken from the support of f_k for the larger k.
     Each key's run of ascending a's lies in `a` at start, count; `keys`
     is sorted, and each call merges its fresh keys in at their places.
-    The supports of f_k (q^0 left out) lie in `roots` at root_start[k],
-    root_count[k], which is -1 until built; both are indexed up to the
-    largest k seen.
     """
 
     def __init__(self, n: int, a_cap: int):
         self.n, self.a_cap = n, a_cap
-        self.keys = self.start = self.count = np.zeros(0, np.int64)
-        self.a = self.roots = self.root_start = self.root_count = np.zeros(
-            0, np.int64)
+        self.keys = self.start = self.count = self.a = np.zeros(0, np.int64)
+        self.roots = {}
 
-    def _add_roots(self, ks: np.ndarray) -> None:
-        """Build the supports for the ascending ks, each in [1, n), in
-        numpy passes over about 2^15 candidate roots.
-
-        Each is theta_exponents(k, a_cap + 1)'s root branch, run for many
-        k at once: a*k + 1 = y^2 with y = r + j*k up to isqrt(k*a_cap + 1),
-        for the roots r in [1, k] of r^2 = 1 (mod k).
-        """
-        cuts = np.flatnonzero(np.diff(np.cumsum(ks) >> 15)) + 1
-        for ks in np.split(ks, cuts):
-            lim = np.array([isqrt(k * self.a_cap + 1) for k in ks.tolist()])
-            owner = np.repeat(np.arange(len(ks)), ks)
-            k = ks[owner]
-            r = _ragged_arange(np.ones_like(ks), ks)
-            unit = np.flatnonzero((r * r - 1) % k == 0)
-            owner, k, r = owner[unit], k[unit], r[unit]
-            steps = (lim[owner] - r) // k + 1
-            owner, k = np.repeat(owner, steps), np.repeat(k, steps)
-            y = np.repeat(r, steps) + k * _ragged_arange(
-                np.zeros_like(steps), steps)
-            a = (y * y - 1) // k
-            order = np.argsort(owner * (self.a_cap + 1) + a)
-            order = order[a[order] > 0]  # each k's y = 1
-            count = np.bincount(owner[order], minlength=len(ks))
-            self.root_start[ks] = len(self.roots) + np.cumsum(count) - count
-            self.root_count[ks] = count
-            self.roots = np.concatenate([self.roots, a[order]])
+    def _roots(self, k: int) -> np.ndarray:  # a in [1, a_cap], a*k + 1 square
+        if k not in self.roots:
+            self.roots[k] = theta_exponents(k, self.a_cap + 1)[1:]
+        return self.roots[k]
 
     def runs(self, keys: np.ndarray) -> tuple:
         """(start, count) of the runs of the sorted, distinct keys."""
@@ -394,32 +367,18 @@ class _CandidateRuns:
         if len(fresh):
             k1, k2 = fresh // self.n, fresh % self.n
             hi = np.where(k2 > 0, k2, k1)
-            grow = int(hi.max()) + 1 - len(self.root_count)
-            if grow > 0:  # index the roots up to the largest k seen
-                self.root_start = np.append(self.root_start,
-                                            np.zeros(grow, np.int64))
-                self.root_count = np.append(self.root_count,
-                                            np.full(grow, -1))
-            new = np.flatnonzero(np.bincount(hi[self.root_count[hi] < 0]))
-            if len(new):
-                self._add_roots(new)
-            lens = self.root_count[hi]
-            flat = self.roots[_ragged_arange(self.root_start[hi], lens)]
+            roots = [self._roots(k) for k in hi.tolist()]
+            lens = np.array([len(r) for r in roots], dtype=np.int64)
+            flat = np.concatenate(roots)
             ok = _is_square_array(flat * np.repeat(k1 + k2 - hi, lens) + 1)
             count = np.bincount(np.repeat(np.arange(len(fresh)), lens)[ok],
                                 minlength=len(fresh))
             start = len(self.a) + np.cumsum(count) - count
             self.a = np.concatenate([self.a, flat[ok]])
-            # merge: the fresh keys' places in the grown, sorted store
-            slot = pos[~known] + np.arange(len(fresh))
-            old = np.ones(len(self.keys) + len(fresh), dtype=bool)
-            old[slot] = False
-            merged = []
-            for prev, value in ((self.keys, fresh), (self.start, start),
-                                (self.count, count)):
-                merged.append(np.empty(len(old), np.int64))
-                merged[-1][old], merged[-1][slot] = prev, value
-            self.keys, self.start, self.count = merged
+            at = pos[~known]  # the fresh keys' places in the sorted store
+            self.keys = np.insert(self.keys, at, fresh)
+            self.start = np.insert(self.start, at, start)
+            self.count = np.insert(self.count, at, count)
             pos = np.searchsorted(self.keys, keys)
         return self.start[pos], self.count[pos]
 

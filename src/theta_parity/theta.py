@@ -5,10 +5,9 @@ perfect square.  Those squares are y^2 with y^2 = 1 (mod m), so the
 support is built in numpy from the square roots r of 1 mod m: every y is
 r plus a multiple of m.  The cost is O(min(m, sqrt(m*N))) for the roots
 plus O(|support|), which is what makes N = 10^9 supports cheap.  When
-the N indices are fewer than the roots, each is tested directly.
-theta_rows runs that test for many m at once and returns their first
-coefficients as packed rows; brute_search builds every f_m it reads so.
-The arithmetic is int64, exact for m*N < 2^63; larger inputs raise
+the N indices are fewer than the roots, each is tested directly;
+theta_rows runs that test for many m at once, into packed rows.  The
+arithmetic is int64, exact for m*N < 2^63; larger inputs raise
 ValueError.
 """
 
@@ -20,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gf2series import Gf2Series, row_supports
+from .gf2series import Gf2Series
 from .numth import _is_square_array
 
 # Exponents a with (q;q)_inf^a congruent to f_{24/a} mod 2.  Other
@@ -30,23 +29,20 @@ EULER_JACOBI_EXPONENTS = (1, 2, 3, 4, 6)
 _INT64_LIMIT = 1 << 63
 # Candidate roots scanned per numpy step; bounds the scan's memory.
 _ROOT_CHUNK = 1 << 16
-# Indices tested per numpy step of theta_rows, a multiple of 8 so that
-# a row split across steps packs into whole bytes; bounds its memory.
-# theta_rows(range(1, 201), 2009) took 1.7 ms at 2^14 and 3.8 ms at
-# 2^15 (best of 30; 2-core Xeon, numpy 2.4.6).
+# Indices tested directly per numpy step, a multiple of 8 so that a row
+# split across steps packs into whole bytes; theta_rows(range(1, 201),
+# 2009) took 1.7 ms at 2^14, 3.8 ms at 2^15 (best of 30, 2-core Xeon).
 _ROW_CHUNK = 1 << 14
 
 
 def theta_rows(ms, width: int) -> np.ndarray:
     """The first width coefficients of f_m for each m in ms, packed.
 
-    Row i holds little-endian bytes in which bit k is set exactly when
-    ms[i]*k + 1 is a perfect square, for k < width; each row is padded
-    with zero bits to whole 64-bit words, so .view("<u8") reads it as
-    words.  Every index is tested directly, in steps of at most
-    _ROW_CHUNK indices (whole rows, or one row's slice of whole bytes),
-    so the work is len(ms)*width whatever m is.  Raises ValueError
-    unless m*width < 2^63 for every m, the range where int64 is exact.
+    Row i holds little-endian bytes, bit k set exactly when ms[i]*k + 1
+    is a perfect square (k < width), zero-padded to whole 64-bit words.
+    Every index is tested directly, _ROW_CHUNK at a time (whole rows, or
+    one row's slice of whole bytes).  Raises ValueError unless
+    m*width < 2^63 for every m, the range where int64 is exact.
     """
     ms = np.asarray(ms)
     if width < 1 or (ms.size and ms.min() < 1):
@@ -76,9 +72,9 @@ def theta_exponents(m: int, n_terms: int) -> np.ndarray:
     O(chunk + |support|) however large m is.  Each root lies in [1, m],
     so rows j*m + roots are ascending and their concatenation is sorted
     and duplicate-free.  When N < min(m, lim), fewer indices than roots
-    are candidates, so the support is read from the one row that
-    theta_rows tests directly.  Returns an int64 array; raises
-    ValueError unless m*N < 2^63, the range where int64 is exact.
+    are candidates, so each k < N is tested directly, _ROW_CHUNK at a
+    time.  Returns an int64 array; raises ValueError unless
+    m*N < 2^63, the range where int64 is exact.
     """
     if m < 1 or n_terms < 1:
         raise ValueError("m and n_terms must be positive")
@@ -87,7 +83,11 @@ def theta_exponents(m: int, n_terms: int) -> np.ndarray:
     lim = isqrt(m * n_terms)  # y^2 <= m*N  <=>  k < N
     top = min(m, lim)
     if n_terms < top:
-        return row_supports(theta_rows([m], n_terms))[1]
+        support = []
+        for lo in range(0, n_terms, _ROW_CHUNK):
+            k = np.arange(lo, min(lo + _ROW_CHUNK, n_terms), dtype=np.int64)
+            support.append(k[_is_square_array(m * k + 1)])
+        return np.concatenate(support)
     roots = []
     for lo in range(1, top + 1, _ROOT_CHUNK):
         r = np.arange(lo, min(lo + _ROOT_CHUNK, top + 1), dtype=np.int64)

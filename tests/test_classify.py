@@ -17,7 +17,7 @@ from theta_parity.classify import (SPORADIC_TRIPLES, Triple,
 from theta_parity.gf2series import Gf2Series
 from theta_parity.numth import is_square, vp
 from theta_parity.quadform import repcount
-from theta_parity.theta import theta_exponents, theta_series
+from theta_parity.theta import theta_series
 
 
 def reference_brute_search(bound, n_terms=2000, a_cap=None):
@@ -283,19 +283,6 @@ def test_candidate_runs_match_a_per_key_oracle(n, data):
                 want[key] = candidate_oracle(key, n, a_cap)
             assert cands.a[s:s + c].tolist() == want[key]
     assert sorted(cands.keys.tolist()) == cands.keys.tolist() == sorted(want)
-
-
-def test_candidate_runs_roots_span_several_passes():
-    # fresh k's summing past 2^15 are rooted in three numpy passes; with
-    # k2 = 0 a key's candidates are f_k's support at a_cap + 1 terms,
-    # q^0 left out
-    n = 40_000
-    cands = classify._CandidateRuns(n, 4 * n)
-    ks = [24, 30_000, 35_000, 39_999]
-    start, count = cands.runs(np.array(ks, np.int64) * n)
-    for k, s, c in zip(ks, start.tolist(), count.tolist()):
-        assert np.array_equal(cands.a[s:s + c],
-                              theta_exponents(k, 4 * n + 1)[1:])
 
 
 # Lengths that straddle a multiple of 8 bits: at 255 and 256 the series

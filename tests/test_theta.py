@@ -100,6 +100,23 @@ def test_theta_support_scan_memory_is_chunked():
     assert peak < 8 * 2 ** 20
 
 
+def test_theta_support_direct_test_memory_is_chunked():
+    # m > N takes the direct branch: 2*10^7 indices, whose packed row
+    # alone is 2.5 MB, tested in steps of theta._ROW_CHUNK; m*5 + 1 is
+    # (5r + 1)^2, so f_m has q^5
+    r = 141_421
+    m = r * (5 * r + 2)
+    tracemalloc.start()
+    try:
+        sup = theta_support(m, 2 * 10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sup[:2] == (0, 5)
+    assert all(isqrt(m * k + 1) ** 2 == m * k + 1 for k in sup)
+    assert peak < 1.5 * 2 ** 20, peak
+
+
 def test_theta_support_roots_are_units():
     for m in (3, 8, 24, 45):
         sup = theta_support(m, 3000)
@@ -145,8 +162,8 @@ def theta_row_inputs(draw):
 @example(([1029, 10 ** 5, 99_999], 257))  # m > 4*width: the direct branch
 @example(([4 * 65 + 1, 24 * 24 * 64 + 48], 65))
 def test_theta_rows_match_theta_exponents_and_scan_oracle(inputs):
-    # for m > 4*width theta_exponents reads theta_rows itself, so the
-    # scan oracle is what checks that branch
+    # for m > 4*width theta_exponents tests each index directly too, by
+    # the same squareness test, so the scan oracle checks that branch
     ms, width = inputs
     rows = theta_rows(ms, width)
     assert rows.dtype == np.uint8

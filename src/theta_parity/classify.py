@@ -3,8 +3,8 @@
 Candidate triples with b' != c' come from the necessary conditions
 (egyptian fraction, (b'+c') | 24, (b'+c') | d, valuation bounds,
 d | 24|b'-c'|), which make the search finite.  Each candidate is then
-decided by a truncated series comparison, first at PREFILTER_TERMS and
-then at full length, where no product is built (verify_triple);
+decided by verify_triple's series comparison, which builds no product
+and compares the low PREFILTER_TERMS coefficients before all N;
 refutations carry the first differing coefficient index as a witness,
 optionally strengthened by a Weber-prime certificate.  The b' = c' side
 reduces to b = c = d with the criterion v2(d) in {2, 3}, spot-checked by
@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .gf2series import (_WORDS_MIN_TERMS, PREFILTER_TERMS, Gf2Series,
-                        comb_first_difference, row_supports, support_bytes)
+from .gf2series import (PREFILTER_TERMS, Gf2Series, product_first_difference,
+                        row_supports, support_bytes)
 from .numth import _is_square_array, _ragged_arange, divisors, egyptian_a, vp
 from .quadform import WeberCertificate, weber_reject
 from .theta import theta_exponents, theta_rows, theta_series
@@ -134,27 +134,23 @@ def verify_triple(a: int, b: int, c: int, n_terms: int) -> Certificate:
     """Compare f_a with f_b*f_c below n_terms.
 
     When b == c the product is a square, and mod 2 f_b^2 = f_b(q^2), so
-    it is taken by Frobenius rather than by a multiply.  Otherwise, from
-    _WORDS_MIN_TERMS on, the byte comb walks the shorter of the two
-    supports starting from f_a's bytes and reports the first difference,
-    so no product is built.
+    it is taken by Frobenius rather than by a multiply.  Otherwise
+    product_first_difference walks the shorter of the two supports from
+    f_a's bits over the other factor's bytes, so no product is built.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
     if b > c:
         b, c = c, b
     triple = Triple(a, b, c)
-    if b != c and n_terms >= _WORDS_MIN_TERMS:
-        walked, other = sorted(
-            (theta_exponents(m, n_terms) for m in (b, c)), key=len)
-        witness = comb_first_difference(
-            walked, support_bytes(other, n_terms),
-            support_bytes(theta_exponents(a, n_terms), n_terms), n_terms)
-        return Certificate(triple, n_terms, witness)
-    fa = theta_series(a, n_terms)
-    fb = theta_series(b, n_terms)
-    prod = fb.square() if b == c else fb.mul(theta_series(c, n_terms))
-    return Certificate(triple, n_terms, fa.first_difference(prod))
+    if b == c:
+        return Certificate(triple, n_terms, theta_series(a, n_terms)
+                           .first_difference(theta_series(b, n_terms).square()))
+    walked, other = sorted(
+        (theta_exponents(m, n_terms) for m in (b, c)), key=len)
+    return Certificate(triple, n_terms, product_first_difference(
+        theta_exponents(a, n_terms), walked, support_bytes(other, n_terms),
+        n_terms))
 
 
 def enumerate_candidates() -> list[Triple]:
@@ -211,10 +207,10 @@ class ClassificationReport:
 
 
 def _decide_candidate(triple: Triple, n_terms: int) -> Certificate:
-    pre = min(PREFILTER_TERMS, n_terms)
-    cert = verify_triple(triple.a, triple.b, triple.c, pre)
-    if cert.status == VERIFIED and pre < n_terms:
-        cert = verify_triple(triple.a, triple.b, triple.c, n_terms)
+    cert = verify_triple(triple.a, triple.b, triple.c, n_terms)
+    # the comparison's first pass decided every witness below PREFILTER_TERMS
+    if cert.witness is not None and cert.witness < PREFILTER_TERMS:
+        cert = replace(cert, n_terms=min(PREFILTER_TERMS, n_terms))
     return replace(cert, weber=weber_reject(
         triple.b, triple.c, WEBER_BOUND,
         max_enumerated=WEBER_MAX_ENUMERATED))

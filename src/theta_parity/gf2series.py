@@ -19,11 +19,11 @@ mul() chooses between them by N alone:
     term, and its memory is a few N-bit byte arrays.
 
 An identity check only needs the first index where a target differs
-from a product.  comb_first_difference runs the same byte comb from the
-target's bytes instead of zeros and reads the first set bit of the sum,
-so the product is never built; the long checks (verify_triple and
-bm_first_failure from _WORDS_MIN_TERMS on) pack its operands straight
-from support arrays with support_bytes.
+from a product.  product_first_difference, which verify_triple and
+bm_first_failure call, runs the comb from the target's bits instead of
+zeros and reads the first set bit of the sum, so the product is never
+built.  Its first pass covers the low PREFILTER_TERMS coefficients and
+its second all N; each picks its kernel by its own length.
 
 The kernels are truncation-first: no coefficient at or beyond n_terms
 is ever reported, and all identity claims are "below N" claims.
@@ -50,9 +50,9 @@ _SPREAD = sum(((_BYTES >> i) & 1) << (2 * i) for i in range(8)).astype("<u2")
 # ms against 1.1 ms at 2^16 and 6.1-8.1 ms against 1.9 ms at 2^17.  No
 # workload multiplies between 2^15 and 2^16 terms.
 _WORDS_MIN_TERMS = 1 << 16
-# Truncation of the cheap first comparisons: witnesses live at tiny
-# indices, so most decoy identities never reach a full-length comb.  It
-# lies below _WORDS_MIN_TERMS, so those comparisons take the int comb.
+# Truncation of product_first_difference's first pass: witnesses live at
+# tiny indices, so most decoy identities never reach a full-length comb.
+# It lies below _WORDS_MIN_TERMS, so that pass takes the int comb.
 PREFILTER_TERMS = 4096
 
 
@@ -98,20 +98,41 @@ def _xor_comb(out: np.ndarray, dense: np.ndarray, exps: np.ndarray) -> None:
             np.bitwise_xor(tail, g_r[:n_bytes - w], out=tail)
 
 
-def comb_first_difference(exps: np.ndarray, dense: np.ndarray,
-                          target: np.ndarray, n_terms: int) -> Optional[int]:
-    """Smallest k < n_terms where the bytes `target` differ from the
-    product of the bytes `dense` with the series whose support is the
-    int64 array `exps`, or None if they agree below n_terms.
+def _int_comb(acc: int, dense: int, exps, n_terms: int) -> int:
+    """acc xor the product of the bits `dense` with the series whose
+    support is `exps` (Python ints), cut to n_terms bits."""
+    for s in exps:
+        acc ^= dense << s
+    return acc & ((1 << n_terms) - 1)
 
-    The comb xors the product into target in place, so target ends as
-    their sum and the product is never built.
+
+def product_first_difference(target: np.ndarray, walked: np.ndarray,
+                             dense: np.ndarray, n_terms: int) -> Optional[int]:
+    """Smallest k < n_terms where the series with support `target`
+    differs from the product of the series with support `walked` and the
+    bytes `dense`, or None if they agree below n_terms.
+
+    target and walked are sorted int64 supports; dense is little-endian,
+    at least (n_terms + 7) // 8 bytes.  The first pass compares the low
+    PREFILTER_TERMS coefficients and the second all n_terms, so a witness
+    below min(PREFILTER_TERMS, n_terms) is exactly one the first found.
     """
-    _xor_comb(target, dense, exps)
-    i = int(np.argmax(target != 0))  # 0 when every byte is zero
-    low = int(target[i])
-    k = 8 * i + (low & -low).bit_length() - 1
-    return k if 0 <= k < n_terms else None
+    for n in sorted({min(PREFILTER_TERMS, n_terms), n_terms}):
+        out = support_bytes(target[:np.searchsorted(target, n)], n)
+        exps = walked[:np.searchsorted(walked, n)]
+        if n < _WORDS_MIN_TERMS:
+            diff = _int_comb(int.from_bytes(out, "little"),
+                             int.from_bytes(dense[:len(out)], "little"),
+                             exps.tolist(), n)
+            k = (diff & -diff).bit_length() - 1  # -1 when diff is 0
+        else:
+            _xor_comb(out, dense[:len(out)], exps)
+            i = int(np.argmax(out != 0))  # 0 when every byte is zero
+            low = int(out[i])
+            k = 8 * i + (low & -low).bit_length() - 1
+        if 0 <= k < n:
+            return k
+    return None
 
 
 class Gf2Series:
@@ -204,12 +225,7 @@ class Gf2Series:
     def _mul_comb(self, other: "Gf2Series") -> "Gf2Series":
         n = self.n_terms
         f, g = self._sparser_first(other)
-        acc = 0
-        gb = g._bits
-        for i in f.support:
-            acc ^= gb << i
-        acc &= (1 << n) - 1
-        return Gf2Series(n, acc)
+        return Gf2Series(n, _int_comb(0, g._bits, f.support, n))
 
     def _mul_words(self, other: "Gf2Series") -> "Gf2Series":
         n = self.n_terms

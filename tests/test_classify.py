@@ -127,6 +127,19 @@ def test_candidate_witnesses_unchanged(n):
     assert got == CANDIDATE_WITNESSES
 
 
+@pytest.mark.parametrize("n", [300, classify.PREFILTER_TERMS,
+                               classify.PREFILTER_TERMS + 1, 10 ** 5])
+def test_candidate_certificates_name_the_deciding_truncation(n):
+    # every witness lies below PREFILTER_TERMS, so the comparison's first
+    # pass decides each refuted candidate and its certificate names that
+    # pass's length; verified ones name the full truncation
+    report = classify.run_classification(n)
+    assert len(report.refuted) == 39 and len(report.verified) == 8
+    assert {c.n_terms for c in report.refuted} == {
+        min(classify.PREFILTER_TERMS, n)}
+    assert {c.n_terms for c in report.verified} == {n}
+
+
 def test_verify_triple_squares_equal_factors(monkeypatch):
     # b == c takes f_b^2 = f_b(q^2) mod 2: the family spot checks' witnesses
     # equal those of the multiply, and no multiply kernel runs for them

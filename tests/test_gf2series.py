@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from theta_parity import classify, gf2series, partition
-from theta_parity.gf2series import (_WORDS_MIN_TERMS, Gf2Series,
-                                    comb_first_difference, support_bytes)
+from theta_parity.gf2series import (_WORDS_MIN_TERMS, PREFILTER_TERMS,
+                                    Gf2Series, product_first_difference,
+                                    support_bytes)
 from theta_parity.partition import (BM_REFUTED_PAIRS, bm_first_failure,
                                     partition_parity)
 from theta_parity.theta import theta_series
@@ -219,10 +220,16 @@ def test_word_comb_at_every_length_mod_8(rem, data):
 @st.composite
 def first_difference_inputs(draw):
     """(n, walked, other, flips): the target is walked * other with the
-    coefficients at `flips` changed, so its first difference is min(flips)."""
-    n, walked, other = draw(word_comb_inputs())
+    coefficients at `flips` changed, so its first difference is min(flips).
+    n is short, or long enough for both passes of product_first_difference."""
+    n, walked, other = draw(word_comb_inputs(st.one_of(
+        st.integers(1, 300),
+        st.integers(PREFILTER_TERMS - 8, PREFILTER_TERMS + 300))))
     flips = draw(st.sets(st.integers(0, n - 1), max_size=3))
     return n, walked, other, sorted(flips)
+
+
+PRE = PREFILTER_TERMS
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,15 +245,21 @@ def first_difference_inputs(draw):
 @example((_WORDS_MIN_TERMS - 1, [0, 5, 40000], [1, 2, 30000, 65530], [65534]))
 @example((_WORDS_MIN_TERMS, [0, 65535], [0, 1, 65535], [65535]))
 @example((_WORDS_MIN_TERMS, [3, 9000], [0, 60000], []))
-def test_comb_first_difference_matches_product(data):
+# at the edge of the first pass, with walked terms on both sides of it
+@example((PRE + 300, [0, 7, PRE + 1], [1, PRE - 9, PRE + 200], [PRE - 1]))
+@example((PRE + 300, [0, 7, PRE + 1], [1, PRE - 9, PRE + 200], [PRE]))
+@example((PRE + 300, [0, 7, PRE + 1], [1, PRE - 9, PRE + 200], [PRE + 1, PRE + 5]))
+@example((PRE, [0, 7, PRE - 1], [1, PRE - 9], [PRE - 1]))  # one pass
+@example((PRE, [0, 7, PRE - 1], [1, PRE - 9], []))
+def test_product_first_difference_matches_product(data):
     n, walked, other, flips = data
     f = Gf2Series.from_support(walked, n)
     g = Gf2Series.from_support(other, n)
     t = Gf2Series(n, f.mul(g).bits ^ sum(1 << k for k in flips))
-    target = support_bytes(np.array(t.support, dtype=np.int64), n)
-    assert bytes(target) == bytes(t.byte_array())
-    got = comb_first_difference(np.array(walked, dtype=np.int64),
-                                g.byte_array(), target, n)
+    target = np.array(t.support, dtype=np.int64)
+    assert bytes(support_bytes(target, n)) == bytes(t.byte_array())
+    got = product_first_difference(target, np.array(walked, dtype=np.int64),
+                                   g.byte_array(), n)
     assert got == f.mul(g).first_difference(t)
     assert got == (flips[0] if flips else None)
 
@@ -260,51 +273,55 @@ def test_word_comb_matches_int_comb_on_long_products(n):
 
 
 def test_mul_kernel_follows_n_terms(monkeypatch):
+    # mul and product_first_difference share the two comb helpers; each
+    # call is recorded with its length in bits: n_terms for the int comb,
+    # 8 * len(out) for the byte comb
     calls = []
+    int_comb, xor_comb = gf2series._int_comb, gf2series._xor_comb
 
-    def spy(name):
-        kernel = getattr(Gf2Series, name)
+    def int_spy(acc, dense, exps, n_terms):
+        calls.append(("_int_comb", n_terms))
+        return int_comb(acc, dense, exps, n_terms)
 
-        def wrapped(self, other):
-            calls.append((name, self.n_terms))
-            return kernel(self, other)
-        return wrapped
+    def xor_spy(out, dense, exps):
+        calls.append(("_xor_comb", 8 * len(out)))
+        return xor_comb(out, dense, exps)
 
-    for name in ("_mul_comb", "_mul_words"):
-        monkeypatch.setattr(Gf2Series, name, spy(name))
-
-    def first_difference_spy(exps, dense, target, n_terms):
-        calls.append(("comb_first_difference", n_terms))
-        return comb_first_difference(exps, dense, target, n_terms)
-
-    for module in (classify, partition):
-        monkeypatch.setattr(module, "comb_first_difference", first_difference_spy)
+    monkeypatch.setattr(gf2series, "_int_comb", int_spy)
+    monkeypatch.setattr(gf2series, "_xor_comb", xor_spy)
 
     def kernels(run):
         calls.clear()
         run()
         return set(calls)
 
+    def whole_bytes(n):
+        return 8 * ((n + 7) // 8)
+
     # brute's full products and the prefilter take the Python-int comb
     assert kernels(lambda: classify.brute_search(24, 2000)) == {
-        ("_mul_comb", 2000)}
-    assert kernels(lambda: classify.verify_triple(
-        4, 6, 12, classify.PREFILTER_TERMS)) == {("_mul_comb", 4096)}
-    # the switch is at _WORDS_MIN_TERMS terms
-    for n, name in ((_WORDS_MIN_TERMS - 1, "_mul_comb"),
-                    (_WORDS_MIN_TERMS, "_mul_words")):
-        assert kernels(lambda: theta_series(1, n).mul(theta_series(2, n))) == {(name, n)}
-    # long theta products take the word comb; long identity checks and
-    # P*f_a against f_b take the first-difference comb after the prefilter
+        ("_int_comb", 2000)}
+    assert kernels(lambda: classify.verify_triple(4, 6, 12, PRE)) == {
+        ("_int_comb", PRE)}
+    # the switch is at _WORDS_MIN_TERMS terms, for products and for each
+    # pass of the first-difference comparison alike
+    for n, name in ((_WORDS_MIN_TERMS - 1, "_int_comb"),
+                    (_WORDS_MIN_TERMS, "_xor_comb")):
+        length = n if name == "_int_comb" else whole_bytes(n)
+        assert kernels(lambda: theta_series(1, n).mul(theta_series(2, n))) == {
+            (name, length)}
+        assert kernels(lambda: classify.verify_triple(4, 6, 12, n)) == {
+            ("_int_comb", PRE), (name, length)}
+    # long theta products take the byte comb; long identity checks and
+    # P*f_a against f_b take it after the prefilter's int comb
     n = 10 ** 6
     assert kernels(lambda: theta_series(8, n).mul(theta_series(24, n))) == {
-        ("_mul_words", n)}
+        ("_xor_comb", n)}
     assert kernels(lambda: classify.verify_triple(4, 6, 12, n)) == {
-        ("comb_first_difference", n)}
-    bm = kernels(lambda: bm_first_failure(6, 8, 300_000))
-    assert ("comb_first_difference", 300_001) in bm
-    assert ("_mul_comb", classify.PREFILTER_TERMS) in bm
-    assert ("_mul_comb", 300_001) not in bm
+        ("_int_comb", PRE), ("_xor_comb", n)}
+    partition_parity(300_001)  # the parity levels' own products
+    assert kernels(lambda: bm_first_failure(6, 8, 300_000)) == {
+        ("_int_comb", PRE), ("_xor_comb", whole_bytes(300_001))}
 
 
 def test_refuted_bm_pairs_never_reach_the_long_comb(monkeypatch):

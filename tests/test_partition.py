@@ -121,11 +121,12 @@ def test_bm_agrees_with_theta_identity_witness():
         assert direct == via_series, (a, b)
 
 
-@pytest.mark.parametrize("n_max", [5000, 70_000, 300_000])
+@pytest.mark.parametrize("n_max", [4095, 5000, 65_534, 70_000, 300_000])
 def test_bm_witnesses_unchanged(n_max):
-    # on both sides of the first-difference comb's 2^16-term switch: the
-    # seven conjectured pairs hold and the three refuted ones fail at 1,
-    # as the product P*f_a computed as a series says
+    # at exactly the prefilter's length, past it and on both sides of the
+    # byte comb's 2^16-term switch: the seven conjectured pairs hold and
+    # the three refuted ones fail at 1, as the product P*f_a computed as
+    # a series says
     n = n_max + 1
     parity = partition_parity(n)
     for a, b in BM_CONJECTURED_PAIRS + BM_REFUTED_PAIRS:

@@ -42,9 +42,10 @@ _BYTES = np.arange(256, dtype=np.uint16)
 _SPREAD = sum(((_BYTES >> i) & 1) << (2 * i) for i in range(8)).astype("<u2")
 
 
-# mul() switches from the Python-int comb to the numpy byte comb at this
-# many terms.  Both cost one pass per term of the sparser operand, so the
-# crossover depends on N only: on P*f_6, P(q^4)*f_8, f_8*f_24 and
+# mul() and each pass of product_first_difference switch from the
+# Python-int comb to the numpy byte comb at this many terms.  Both cost
+# one pass per term of the sparser operand, so the crossover depends on
+# N only: on P*f_6, P(q^4)*f_8, f_8*f_24 and
 # f_100*f_200 together (2 cores, numpy 2.4.6) the Python-int comb took
 # 0.9-1.1 ms at 2^15 terms against the byte comb's 0.7-1.2 ms, 2.2-3.1
 # ms against 1.1 ms at 2^16 and 6.1-8.1 ms against 1.9 ms at 2^17.  No

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from theta_parity import classify, gf2series, partition
+from theta_parity import classify, gf2series
 from theta_parity.gf2series import (_WORDS_MIN_TERMS, PREFILTER_TERMS,
                                     Gf2Series, product_first_difference,
                                     support_bytes)
 from theta_parity.partition import (BM_REFUTED_PAIRS, bm_first_failure,
                                     partition_parity)
 from theta_parity.theta import theta_series
+
+PRE = PREFILTER_TERMS
 
 
 def naive_mul(support_a, support_b, n_terms):
@@ -227,9 +229,6 @@ def first_difference_inputs(draw):
         st.integers(PREFILTER_TERMS - 8, PREFILTER_TERMS + 300))))
     flips = draw(st.sets(st.integers(0, n - 1), max_size=3))
     return n, walked, other, sorted(flips)
-
-
-PRE = PREFILTER_TERMS
 
 
 @settings(max_examples=150, deadline=None)

@@ -30,7 +30,7 @@ partition_parity(10^7), bm_first_failure(6, 8, 10^7),
 verify_triple(4, 6, 12, 10^7), theta_support(552, 10^9),
 brute_search(1000, 2000), brute_search(2000, 4000), the size of CI's
 brute-force cross-check, and the Weber searches of classify's 47
-candidates (the certificates found).
+candidates at its WEBER_BOUND (the certificates found).
 So is the Tier-1 test suite, run as TIER1 with the checkout's src on
 PYTHONPATH: its wall time, exit code and pytest's summary line.
 """
@@ -73,11 +73,9 @@ NORTH_STAR = {
         "from theta_parity.classify import brute_search\n"
         "result = len(brute_search(2000, 4000))",
     "weber_reject over classify's 47 candidates":
-        "from theta_parity.classify import (WEBER_BOUND, WEBER_MAX_ENUMERATED,\n"
-        "                                   enumerate_candidates)\n"
+        "from theta_parity.classify import WEBER_BOUND, enumerate_candidates\n"
         "from theta_parity.quadform import weber_reject\n"
-        "result = sum(weber_reject(t.b, t.c, WEBER_BOUND,\n"
-        "                          max_enumerated=WEBER_MAX_ENUMERATED) is not None\n"
+        "result = sum(weber_reject(t.b, t.c, WEBER_BOUND) is not None\n"
         "             for t in enumerate_candidates())",
 }
 

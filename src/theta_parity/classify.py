@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .gf2series import (PREFILTER_TERMS, Gf2Series, product_first_difference,
-                        row_supports, support_bytes)
+                        support_bytes)
 from .numth import _is_square_array, _ragged_arange, divisors, egyptian_a, vp
 from .quadform import WeberCertificate, weber_reject
 from .theta import theta_exponents, theta_rows, theta_series
@@ -176,9 +176,6 @@ def enumerate_candidates() -> list[Triple]:
 # Cap on the Weber primes each candidate's search examines
 # (weber_reject's bound).
 WEBER_BOUND = 12
-# Ceiling on the rank of the representations each candidate's Weber
-# search considers (weber_reject's max_enumerated).
-WEBER_MAX_ENUMERATED = 300_000
 # The family criterion is spot-checked by series for even d up to here.
 FAMILY_MAX_D = 200
 
@@ -211,9 +208,7 @@ def _decide_candidate(triple: Triple, n_terms: int) -> Certificate:
     # the comparison's first pass decided every witness below PREFILTER_TERMS
     if cert.witness is not None and cert.witness < PREFILTER_TERMS:
         cert = replace(cert, n_terms=min(PREFILTER_TERMS, n_terms))
-    return replace(cert, weber=weber_reject(
-        triple.b, triple.c, WEBER_BOUND,
-        max_enumerated=WEBER_MAX_ENUMERATED))
+    return replace(cert, weber=weber_reject(triple.b, triple.c, WEBER_BOUND))
 
 
 def run_classification(n_terms: int) -> ClassificationReport:
@@ -221,11 +216,12 @@ def run_classification(n_terms: int) -> ClassificationReport:
 
     Verifies every enumerated b' != c' candidate to n_terms (after a
     PREFILTER_TERMS first pass), attaches Weber certificates from a
-    search over WEBER_BOUND primes and at most WEBER_MAX_ENUMERATED
-    representations, spot-checks the b' = c' family criterion by series
-    for even d up to FAMILY_MAX_D at min(PREFILTER_TERMS, n_terms) terms,
-    and asserts the verified set is exactly the eight sporadic triples.
-    Deviations are reported as mismatches (a hard failure for callers).
+    search over WEBER_BOUND primes (among the representations of rank at
+    most quadform.WEBER_MAX_RANK), spot-checks the b' = c' family
+    criterion by series for even d up to FAMILY_MAX_D at
+    min(PREFILTER_TERMS, n_terms) terms, and asserts the verified set is
+    exactly the eight sporadic triples.  Deviations are reported as
+    mismatches (a hard failure for callers).
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
@@ -311,13 +307,9 @@ def _two_lowest_bits(rows: np.ndarray) -> tuple:
 
 
 def _series(rows: np.ndarray, n_terms: int) -> list:
-    """One Gf2Series per row of packed little-endian bytes, its support
-    attached, as the multiply walks it."""
-    row, k = row_supports(rows)
-    ends = np.cumsum(np.bincount(row, minlength=len(rows)))
-    supports = np.split(k, ends[:-1])
-    return [Gf2Series(n_terms, int.from_bytes(r.tobytes(), "little"),
-                      tuple(s.tolist())) for r, s in zip(rows, supports)]
+    """One Gf2Series per row of packed little-endian bytes."""
+    return [Gf2Series(n_terms, int.from_bytes(r.tobytes(), "little"))
+            for r in rows]
 
 
 def _pair_blocks(bound: int):
@@ -461,7 +453,9 @@ def brute_search(bound: int, n_terms: int) -> list[Triple]:
         count = count[inv]
         a = cands.a[_ragged_arange(start[inv], count)]
         pair = np.repeat(np.flatnonzero(two), count)
-        new = np.flatnonzero(np.bincount(a[row[a] < 0]))
+        # a set, not a bincount: the a's run to 4N, so a bincount would
+        # be an O(N) transient in every block
+        new = np.array(sorted(set(a[row[a] < 0].tolist())), dtype=np.int64)
         if len(new):
             # whole words of the window, and no coefficient at or past N
             rows = theta_rows(new, min(n, 64 * n_words)).view("<u8")

@@ -65,16 +65,6 @@ def support_bytes(exps: np.ndarray, n_terms: int) -> np.ndarray:
     return out
 
 
-def row_supports(rows: np.ndarray) -> tuple:
-    """The set bits of a 2-D array of little-endian byte rows, as int64
-    arrays (row, k) ordered by row and then k.  Only the nonzero bytes
-    are unpacked, so memory beyond the rows is O(|support|)."""
-    row, byte = np.nonzero(rows)
-    bits = np.unpackbits(rows[row, byte, None], axis=1, bitorder="little") != 0
-    return (np.broadcast_to(row[:, None], bits.shape)[bits],
-            (8 * byte[:, None] + np.arange(8))[bits])
-
-
 def _xor_comb(out: np.ndarray, dense: np.ndarray, exps: np.ndarray) -> None:
     """Xor into the bytes `out` the product of the bytes `dense` with the
     series whose support is the int64 array `exps`, cut to len(out) bytes.
@@ -165,14 +155,7 @@ class Gf2Series:
             prev = k
         if indices and (indices[0] < 0 or indices[-1] >= n_terms):
             raise ValueError("support index out of range")
-        # set bits in a byte buffer and convert once: linear in N; numpy's
-        # fixed cost pays off only on the long supports
-        if n_terms >= _WORDS_MIN_TERMS:
-            buf = support_bytes(np.array(indices, dtype=np.int64), n_terms)
-        else:
-            buf = bytearray((n_terms + 7) // 8)
-            for k in indices:
-                buf[k >> 3] |= 1 << (k & 7)
+        buf = support_bytes(np.array(indices, dtype=np.int64), n_terms)
         return cls(n_terms, int.from_bytes(buf, "little"), tuple(indices))
 
     @classmethod

@@ -211,6 +211,11 @@ _INT64_SAFE = 1 << 62
 # Largest modulus whose residue table the walk builds; the table's
 # uint16 keys hold every square mod M up to this.
 _RESIDUE_TABLE_MAX = 1 << 16
+# weber_reject considers only the representations of rank at most this
+# among all u^2 + D*v^2, so a walk whose congruent primes lie far out
+# (L = 2^40, say) ends.  Each of classify's 47 searches finds its
+# certificate or examines its dozen primes well below it.
+WEBER_MAX_RANK = 2_000_000
 
 
 def _row_bounds(D: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,15 +344,14 @@ def _congruent_representations(D: int, L: int,
         lo, below, hi = hi, below + size, 2 * hi
 
 
-def weber_reject(b: int, c: int, bound: int, *,
-                 max_enumerated: int = 2_000_000) -> Optional[WeberCertificate]:
+def weber_reject(b: int, c: int, bound: int) -> Optional[WeberCertificate]:
     """Search for a Weber-prime refutation of f_a = f_b*f_c.
 
     Candidates are primes p = u^2 + b'c'v^2 with p = 1 (mod lcm(a,b,c))
     and gcd(u, b'c') = 1, taken in ascending (p, u) order; `bound` caps
-    how many are examined.  `max_enumerated` caps the rank of a
+    how many are examined.  WEBER_MAX_RANK caps the rank of a
     representation among all u^2 + b'c'v^2 with u, v >= 1 in that order,
-    congruent or not: only representations of rank <= max_enumerated are
+    congruent or not: only representations of rank <= WEBER_MAX_RANK are
     considered, and the ranks are counted without building the points.
     When lcm(a,b,c) <= 2^16, only the congruent points are generated;
     above that, every point is built and then filtered.  For
@@ -368,7 +372,7 @@ def weber_reject(b: int, c: int, bound: int, *,
     D = b_p * c_p
     L = lcm(a, b, c)
     examined = 0
-    for p, u, v in _congruent_representations(D, L, max_enumerated):
+    for p, u, v in _congruent_representations(D, L, WEBER_MAX_RANK):
         if not is_prime(p):
             continue
         examined += 1

@@ -355,6 +355,19 @@ def test_brute_search_memory_stays_small(bound, limit_mb):
     assert peak < limit_mb * 10 ** 6, peak
 
 
+def test_brute_search_memory_small_box_long_series():
+    # a small box at a long truncation: the candidate a's run to 4N, so a
+    # per-block transient of that length (a bincount over the candidates)
+    # peaked at 15.1 MB; the 4N + 1 slot index alone is 6.4 MB of the 10.9
+    tracemalloc.start()
+    try:
+        brute_search(24, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 10 ** 6, peak
+
+
 def test_brute_search_validation():
     with pytest.raises(ValueError):
         brute_search(3, 100)

@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from theta_parity import quadform
-from theta_parity.classify import (WEBER_BOUND, WEBER_MAX_ENUMERATED,
-                                   enumerate_candidates)
+from theta_parity.classify import WEBER_BOUND, enumerate_candidates
 from theta_parity.numth import is_prime, is_square, jacobi, primes_in_class, vp
 from theta_parity.quadform import (SolutionPair, WeberCertificate, WeberPrime,
                                    _congruent_representations, _isqrt_array,
@@ -273,9 +272,9 @@ def heap_congruent(reps, D, L, limit):
             if p % L == 1 and gcd(u, D) == 1]
 
 
-def heap_weber_reject(b, c, bound, max_enumerated, reps):
+def heap_weber_reject(b, c, bound, max_rank, reps):
     """weber_reject as it was with the heap: `reps` is the ascending
-    stream of all representations, at least max_enumerated long."""
+    stream of all representations, at least max_rank long."""
     a = b * c // (b + c)
     d = gcd(b, c)
     b_p, c_p = b // d, c // d
@@ -285,7 +284,7 @@ def heap_weber_reject(b, c, bound, max_enumerated, reps):
     enumerated = 0
     for p, u, v in reps:
         enumerated += 1
-        if enumerated > max_enumerated:
+        if enumerated > max_rank:
             return None
         if p % L != 1 or gcd(u, D) != 1:
             continue
@@ -403,12 +402,13 @@ def test_congruent_representations_cut_between_tied_values():
         assert heap_congruent(reps, 1, 24, limit) == want
 
 
-def test_weber_reject_walk_memory_tracks_congruent_points():
+def test_weber_reject_walk_memory_tracks_congruent_points(monkeypatch):
     # L = 12144, D = 23: about one lattice point in 8000 is congruent,
     # and only those are built (building every point peaks near 8 MB)
+    monkeypatch.setattr(quadform, "WEBER_MAX_RANK", 300_000)
     tracemalloc.start()
     try:
-        assert weber_reject(528, 12144, 12, max_enumerated=300_000) is None
+        assert weber_reject(528, 12144, 12) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -430,13 +430,18 @@ def count_row_bounds(monkeypatch):
 
 def test_classify_weber_searches_walk_one_annulus_each(monkeypatch):
     # sized by the points it builds, each of classify's 47 searches ends in
-    # its first annulus: one _row_bounds call each, plus the bisection of
-    # the four whose annulus crosses the rank limit (sizing annuli by
-    # every lattice point they span takes 331 calls)
+    # its first annulus, below WEBER_MAX_RANK: one _row_bounds call each and
+    # no rank cut (sizing annuli by every lattice point they span takes
+    # 331 calls)
     calls = count_row_bounds(monkeypatch)
+    cuts = []
+    rank_cut = quadform._rank_cut
+    monkeypatch.setattr(quadform, "_rank_cut",
+                        lambda *args: cuts.append(args) or rank_cut(*args))
     for t in enumerate_candidates():
-        weber_reject(t.b, t.c, WEBER_BOUND, max_enumerated=WEBER_MAX_ENUMERATED)
-    assert len(calls) < 160, len(calls)
+        weber_reject(t.b, t.c, WEBER_BOUND)
+    assert len(calls) == len(enumerate_candidates()) == 47, len(calls)
+    assert cuts == []
 
 
 def test_congruent_representations_rows_do_not_shrink_annuli(monkeypatch):
@@ -454,7 +459,7 @@ def test_congruent_representations_empty_limit():
     assert list(_congruent_representations(3, 36, 0)) == []
 
 
-def test_weber_reject_matches_heap_search():
+def test_weber_reject_matches_heap_search(monkeypatch):
     # every candidate and the b' = c' family, at rank cutoffs that fall
     # before, inside and after the certificates
     by_D = {}
@@ -464,16 +469,18 @@ def test_weber_reject_matches_heap_search():
     for D, pairs in by_D.items():
         reps = list(islice(_ascending_representations(D), 20000))
         for b, c, limits in pairs:
-            for max_enumerated in limits:
+            for max_rank in limits:
+                monkeypatch.setattr(quadform, "WEBER_MAX_RANK", max_rank)
                 for bound in (1, 3, 12, 40):
-                    got = weber_reject(b, c, bound, max_enumerated=max_enumerated)
-                    want = heap_weber_reject(b, c, bound, max_enumerated, reps)
-                    assert got == want, (b, c, bound, max_enumerated)
+                    got = weber_reject(b, c, bound)
+                    want = heap_weber_reject(b, c, bound, max_rank, reps)
+                    assert got == want, (b, c, bound, max_rank)
 
 
-def test_weber_reject_default_config_certificates():
+def test_weber_reject_default_config_certificates(monkeypatch):
     # (p, u, v, index) of the eight certificates of the default classify
-    # run; every other candidate gets none
+    # run; every other candidate gets none, after examining WEBER_BOUND
+    # primes below WEBER_MAX_RANK
     expected = {
         (9, 12, 36): (37, 5, 2, 4),
         (18, 24, 72): (73, 5, 4, 4),
@@ -485,10 +492,21 @@ def test_weber_reject_default_config_certificates():
         (126, 144, 1008): (2017, 15, 16, 16),
     }
     got = {}
+    primes = []
+
+    def counted_is_prime(p):
+        if is_prime(p):
+            primes.append(p)
+            return True
+        return False
+
+    monkeypatch.setattr(quadform, "is_prime", counted_is_prime)
     for t in enumerate_candidates():
-        cert = weber_reject(t.b, t.c, WEBER_BOUND,
-                            max_enumerated=WEBER_MAX_ENUMERATED)
-        if cert is not None:
+        primes.clear()
+        cert = weber_reject(t.b, t.c, WEBER_BOUND)
+        if cert is None:
+            assert len(primes) == WEBER_BOUND, (t, len(primes))
+        else:
             got[t.as_tuple()] = (cert.prime.p, cert.prime.u, cert.prime.v,
                                  cert.index)
             # re-check the refuted coefficient by series, which the Weber
@@ -498,9 +516,3 @@ def test_weber_reject_default_config_certificates():
             assert prod.coeff(cert.index) == 1, t
             assert is_square(t.a * cert.index + 1) is None, t
     assert got == expected
-    # these three run out of representations before WEBER_BOUND primes
-    for a, b, c in ((506, 528, 12144), (1190, 1680, 4080), (1330, 1680, 6384)):
-        d = gcd(b, c)
-        stream = _congruent_representations(
-            (b // d) * (c // d), lcm(a, b, c), WEBER_MAX_ENUMERATED)
-        assert sum(is_prime(p) for p, _, _ in stream) < WEBER_BOUND

@@ -14,7 +14,7 @@ from .quadform import (SolutionPair, WeberCertificate, WeberPrime,
                        find_weber_prime, lemma32_residue, lemma34_check,
                        lemma34_solutions, repcount, weber_reject)
 from .theta import (eta_power_series, eta_support, euler_jacobi_check,
-                    theta_series, theta_support)
+                    theta_exponents, theta_series)
 
 __all__ = [
     "BM_CONJECTURED_PAIRS", "BM_REFUTED_PAIRS", "Certificate",
@@ -26,6 +26,6 @@ __all__ = [
     "find_weber_prime", "is_prime", "is_square", "jacobi", "lemma32_residue",
     "lemma34_check", "lemma34_solutions", "partition_parity",
     "primes_in_class", "repcount", "run_classification", "squarefree_part",
-    "theorem_prediction", "theta_series", "theta_support", "verify_triple",
+    "theorem_prediction", "theta_exponents", "theta_series", "verify_triple",
     "vp", "weber_reject",
 ]

@@ -21,6 +21,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import classify, partition, quadform, theta
 from .numth import primes_in_class
 
@@ -63,8 +65,8 @@ def _certificate_dict(cert: classify.Certificate) -> dict:
 
 
 def _cmd_series(args):
-    support = theta.theta_support(args.m, args.terms)
-    return [_record(args, status="ok", support=list(support))], _EXIT_OK
+    support = theta.theta_exponents(args.m, args.terms).tolist()
+    return [_record(args, status="ok", support=support)], _EXIT_OK
 
 
 def _cmd_eta(args):
@@ -86,9 +88,8 @@ def _cmd_euler_jacobi(args):
 
 
 def _cmd_partition(args):
-    parity = [0] * args.terms
-    for n in partition.partition_parity(args.terms).support:
-        parity[n] = 1
+    parity = np.unpackbits(partition.partition_parity(args.terms).byte_array(),
+                           count=args.terms, bitorder="little").tolist()
     return [_record(args, status="ok", parity=parity)], _EXIT_OK
 
 

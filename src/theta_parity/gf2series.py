@@ -2,8 +2,10 @@
 
 A series is a bit vector of its first `n_terms` coefficients, packed
 little-endian into a single Python int (bit k = coefficient of q^k).
-The support (sorted list of exponents with coefficient 1) is derived
-lazily and cached.
+The support (the exponents with coefficient 1) is one sorted int64
+array: from_support keeps a copy of the one it is given, and a series
+made from its bits unpacks it on first use.  The kernels read that
+array; the public .support is a tuple of Python ints built from it.
 
 Multiplication has two kernels, both a shift-xor comb over the support
 of the sparser operand: each of its terms s adds the denser operand
@@ -31,8 +33,7 @@ is ever reported, and all identity claims are "below N" claims.
 
 from __future__ import annotations
 
-import operator
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -129,53 +130,57 @@ def product_first_difference(target: np.ndarray, walked: np.ndarray,
 class Gf2Series:
     """Immutable GF(2) power series truncated to n_terms coefficients."""
 
-    __slots__ = ("n_terms", "_bits", "_support")
+    __slots__ = ("n_terms", "_bits", "_exps")
 
-    def __init__(self, n_terms: int, bits: int = 0, _support=None):
+    def __init__(self, n_terms: int, bits: int = 0):
         if n_terms < 1:
             raise ValueError("n_terms must be >= 1")
         if bits < 0 or bits >> n_terms:
             raise ValueError("bits outside the first n_terms coefficients")
         self.n_terms = n_terms
         self._bits = bits
-        self._support = _support
+        self._exps = None  # the support as an int64 array, once built
 
     @classmethod
-    def from_support(cls, indices: Sequence[int], n_terms: int) -> "Gf2Series":
+    def from_support(cls, indices, n_terms: int) -> "Gf2Series":
         """Series with coefficient 1 exactly at `indices` (strictly increasing).
 
-        Indices are stored as Python ints, so an integer array may be
-        passed: numpy scalars would overflow in the kernels' shifts.
+        indices is a 1-D sequence or array of integers; anything else
+        raises TypeError.  A copy is kept as the series' int64 support,
+        so the caller may reuse its array.
         """
-        indices = list(map(operator.index, indices))
-        prev = -1
-        for k in indices:
-            if k <= prev:
-                raise ValueError("support indices must be strictly increasing")
-            prev = k
-        if indices and (indices[0] < 0 or indices[-1] >= n_terms):
+        exps = np.asarray(indices)
+        if exps.ndim != 1 or (exps.size and exps.dtype.kind not in "iu"):
+            raise TypeError("support indices must be a 1-D sequence of integers")
+        exps = exps.astype(np.int64)
+        if np.any(exps[1:] <= exps[:-1]):
+            raise ValueError("support indices must be strictly increasing")
+        if exps.size and (exps[0] < 0 or exps[-1] >= n_terms):
             raise ValueError("support index out of range")
-        buf = support_bytes(np.array(indices, dtype=np.int64), n_terms)
-        return cls(n_terms, int.from_bytes(buf, "little"), tuple(indices))
+        series = cls(n_terms, int.from_bytes(support_bytes(exps, n_terms), "little"))
+        series._exps = exps
+        return series
 
     @classmethod
     def one(cls, n_terms: int) -> "Gf2Series":
-        return cls(n_terms, 1, (0,))
+        return cls(n_terms, 1)
 
     @property
     def bits(self) -> int:
         return self._bits
 
+    def _exponents(self) -> np.ndarray:
+        if self._exps is None:
+            arr = np.unpackbits(self.byte_array(), count=self.n_terms,
+                                bitorder="little")
+            self._exps = np.flatnonzero(arr)
+        return self._exps
+
     @property
     def support(self) -> tuple:
-        """Sorted exponents with coefficient 1."""
-        if self._support is None:
-            n = self.n_terms
-            raw = self._bits.to_bytes((n + 7) // 8, "little")
-            arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                                count=n, bitorder="little")
-            self._support = tuple(np.flatnonzero(arr).tolist())
-        return self._support
+        """Sorted exponents with coefficient 1, as Python ints (numpy
+        int64 scalars would overflow in shifts such as 1 << k)."""
+        return tuple(self._exponents().tolist())
 
     def byte_array(self) -> np.ndarray:
         """The coefficients as (n_terms + 7) // 8 little-endian bytes."""
@@ -209,13 +214,13 @@ class Gf2Series:
     def _mul_comb(self, other: "Gf2Series") -> "Gf2Series":
         n = self.n_terms
         f, g = self._sparser_first(other)
-        return Gf2Series(n, _int_comb(0, g._bits, f.support, n))
+        return Gf2Series(n, _int_comb(0, g._bits, f._exponents().tolist(), n))
 
     def _mul_words(self, other: "Gf2Series") -> "Gf2Series":
         n = self.n_terms
         f, g = self._sparser_first(other)
         out = np.zeros((n + 7) >> 3, dtype=np.uint8)
-        _xor_comb(out, g.byte_array(), np.asarray(f.support, dtype=np.int64))
+        _xor_comb(out, g.byte_array(), f._exponents())
         if n & 7:  # clear the bits at and above n
             out[-1] &= (1 << (n & 7)) - 1
         return Gf2Series(n, int.from_bytes(out, "little"))

@@ -98,35 +98,24 @@ def theta_exponents(m: int, n_terms: int) -> np.ndarray:
     return (y * y - 1) // m
 
 
-def theta_support(m: int, n_terms: int) -> tuple:
-    """theta_exponents(m, n_terms) as a tuple of Python ints."""
-    return tuple(theta_exponents(m, n_terms).tolist())
-
-
 def theta_series(m: int, n_terms: int) -> Gf2Series:
-    return Gf2Series.from_support(theta_support(m, n_terms), n_terms)
+    return Gf2Series.from_support(theta_exponents(m, n_terms), n_terms)
 
 
-def eta_support(n_terms: int) -> tuple:
+def eta_support(n_terms: int) -> np.ndarray:
     """Generalized pentagonal numbers j(3j+-1)/2 below n_terms, ascending.
 
     Mod 2 the signs in Euler's expansion of (q;q)_inf collapse, leaving
-    exactly this support.
+    exactly this support.  Since j(3j-1)/2 < j(3j+1)/2 < (j+1)(3j+2)/2,
+    the values at k = 0, 1, -1, 2, -2, ... of k(3k-1)/2 ascend; every
+    j(3j-1)/2 < N has j <= isqrt(N).  Returns an int64 array.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    out = [0]
-    j = 1
-    while True:
-        g1 = j * (3 * j - 1) // 2
-        if g1 >= n_terms:
-            break
-        out.append(g1)
-        g2 = j * (3 * j + 1) // 2
-        if g2 < n_terms:
-            out.append(g2)
-        j += 1
-    return tuple(out)
+    j = np.arange(1, isqrt(n_terms) + 1, dtype=np.int64)
+    k = np.concatenate(([0], np.stack([j, -j], axis=1).ravel()))
+    g = k * (3 * k - 1) // 2
+    return g[:np.searchsorted(g, n_terms)]
 
 
 @lru_cache(maxsize=3)

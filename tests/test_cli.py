@@ -66,6 +66,15 @@ def test_partition_output_bytes(capsys):
         f'"parity":[{bits}]}}\n')
 
 
+def test_eta_output_bytes(capsys):
+    # Jacobi: (q;q)^3 is odd exactly at the triangular numbers; the exact
+    # bytes also show that the support is written as plain JSON ints
+    assert dispatch(["eta", "--power", "3", "--terms", "11"]) == 0
+    assert capsys.readouterr().out == (
+        '{"command":"eta","inputs":{"power":3,"terms":11},"status":"ok",'
+        '"support":[0,1,3,6,10]}\n')
+
+
 def test_bm_subcommand(capsys):
     code, records = run_cli(capsys, "bm", "--a", "6", "--b", "8", "--max", "500")
     assert code == 0 and records[0]["witness"] is None

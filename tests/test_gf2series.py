@@ -54,16 +54,23 @@ def test_from_support_examples():
     f = Gf2Series.from_support([0, 2, 6], 8)
     assert [f.coeff(k) for k in range(8)] == [1, 0, 1, 0, 0, 0, 1, 0]
     assert Gf2Series.from_support([], 4) == Gf2Series(4)
+    assert Gf2Series.from_support([], 4).support == ()
     assert Gf2Series.from_support([0], 1) == Gf2Series.one(1)
 
 
 def test_from_support_takes_an_integer_array():
-    # numpy scalars in the cached support would overflow in mul's shifts
+    # numpy scalars in the public support would overflow in shifts
     g = Gf2Series.from_support([0, 1, 80], 100)
-    f = Gf2Series.from_support(np.array([0, 3, 70]), 100)
+    exps = np.array([0, 3, 70], dtype=np.int64)
+    f = Gf2Series.from_support(exps, 100)
     assert all(type(k) is int for k in f.support)
     assert f.mul(g) == Gf2Series.from_support([0, 3, 70], 100).mul(g)
     assert json.loads(json.dumps(list(f.support))) == [0, 3, 70]
+    # the series keeps its own copy of the caller's array
+    exps[1] = 5
+    assert f.support == (0, 3, 70)
+    assert f.mul(g) == Gf2Series.from_support([0, 3, 70], 100).mul(g)
+    assert Gf2Series.from_support(np.array([0, 3], dtype=np.uint8), 4).support == (0, 3)
 
 
 def test_from_support_validation():
@@ -77,6 +84,10 @@ def test_from_support_validation():
         Gf2Series.from_support([1, 1, 2], 8)   # duplicate
     with pytest.raises(ValueError):
         Gf2Series.from_support([], 0)
+    for indices in ([0, 1.0], np.array([0.0, 2.0]), 3, np.int64(3),
+                    np.array([[0, 1], [2, 3]]), [[0, 1]], ["0"]):
+        with pytest.raises(TypeError):
+            Gf2Series.from_support(indices, 8)
 
 
 def test_add_examples():
@@ -167,11 +178,11 @@ def test_dense_operand_support_never_built(data):
     want = Gf2Series.from_support(naive_mul(sa, sb, n), n)
     dense = Gf2Series(n, sum(1 << k for k in sa))
     assert dense.square() == Gf2Series.from_support(naive_mul(sa, sa, n), n)
-    assert dense._support is None
+    assert dense._exps is None
     for kernel in (dense.mul, dense._mul_comb, dense._mul_words):
         assert kernel(sparse) == want
     if len(sa) > len(sb):  # the combs walk the sparser operand's support
-        assert dense._support is None
+        assert dense._exps is None
 
 
 @st.composite

@@ -3,12 +3,12 @@
 Candidate triples with b' != c' come from the necessary conditions
 (egyptian fraction, (b'+c') | 24, (b'+c') | d, valuation bounds,
 d | 24|b'-c'|), which make the search finite.  Each candidate is then
-decided by verify_triple's series comparison, which builds no product
-and compares the low PREFILTER_TERMS coefficients before all N;
-refutations carry the first differing coefficient index as a witness,
-optionally strengthened by a Weber-prime certificate.  The b' = c' side
-reduces to b = c = d with the criterion v2(d) in {2, 3}, spot-checked by
-series.
+decided by verify_triple's comparison of sorted theta supports, which
+builds no product and compares the low PREFILTER_TERMS coefficients
+before all N; refutations carry the first differing coefficient index as
+a witness, optionally strengthened by a Weber-prime certificate.  The
+b' = c' side reduces to b = c = d with the criterion v2(d) in {2, 3},
+spot-checked at N by comparing f_{d/2}'s support with twice f_d's.
 
 Verified status is always truncation-relative: "verified to N terms",
 never "proven".
@@ -28,7 +28,7 @@ from .gf2series import (PREFILTER_TERMS, Gf2Series, product_first_difference,
                         support_bytes)
 from .numth import _is_square_array, _ragged_arange, divisors, egyptian_a, vp
 from .quadform import WeberCertificate, weber_reject
-from .theta import theta_exponents, theta_rows, theta_series
+from .theta import _INT64_LIMIT, theta_exponents, theta_rows
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -130,27 +130,49 @@ def family_criterion(d: int) -> bool:
     return vp(d, 2) in (2, 3)
 
 
-def verify_triple(a: int, b: int, c: int, n_terms: int) -> Certificate:
-    """Compare f_a with f_b*f_c below n_terms.
+def _first_difference(a: int, b: int, c: int, n: int) -> Optional[int]:
+    """Smallest k < n where f_a and f_b*f_c differ mod 2, or None.
 
-    When b == c the product is a square, and mod 2 f_b^2 = f_b(q^2), so
-    it is taken by Frobenius rather than by a multiply.  Otherwise
-    product_first_difference walks the shorter of the two supports from
-    f_a's bits over the other factor's bytes, so no product is built.
+    b = c: f_b^2 = f_b(q^2) mod 2, so f_a's sorted support x is compared
+    with y = 2*(f_b's below ceil(n/2)); both start at 0, and the first
+    difference is min(x[i], y[i]) at the first i where they differ, else
+    the longer one's next entry.
+    Descent: if v2(m) is 1 or 2, m*k + 1 = s^2 forces s odd, so 8 | m*k,
+    k is even and f_m(q) = f_2m(q^2).  So when a, b and c all qualify,
+    the first difference is twice that of (2a, 2b, 2c) below ceil(n/2);
+    each step raises every v2, so there are at most two.
+    """
+    if b == c:
+        x, y = theta_exponents(a, n), 2 * theta_exponents(b, (n + 1) // 2)
+        common = min(len(x), len(y))
+        i = int(np.argmax(x[:common] != y[:common]))  # 0 if none differ
+        if x[i] != y[i]:
+            return int(min(x[i], y[i]))
+        return int(max(x, y, key=len)[common]) if len(x) != len(y) else None
+    # the halved supports need 2m*ceil(n/2) <= m*(n + 1) below 2^63
+    if (all(vp(m, 2) in (1, 2) for m in (a, b, c))
+            and max(a, c) * (n + 1) < _INT64_LIMIT):
+        k = _first_difference(2 * a, 2 * b, 2 * c, (n + 1) // 2)
+        return None if k is None else 2 * k
+    walked, other = sorted((theta_exponents(m, n) for m in (b, c)), key=len)
+    return product_first_difference(theta_exponents(a, n), walked,
+                                    support_bytes(other, n), n)
+
+
+def verify_triple(a: int, b: int, c: int, n_terms: int) -> Certificate:
+    """Compare f_a with f_b*f_c below n_terms, by _first_difference.
+
+    b = c compares sorted supports in O(sqrt(N)) memory; a triple whose
+    v2's are all 1 or 2 descends to ceil(N/2) terms; any other makes one
+    product_first_difference call, so no product is built.  Raises
+    ValueError where theta_exponents would (m*N >= 2^63).
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
     if b > c:
         b, c = c, b
-    triple = Triple(a, b, c)
-    if b == c:
-        return Certificate(triple, n_terms, theta_series(a, n_terms)
-                           .first_difference(theta_series(b, n_terms).square()))
-    walked, other = sorted(
-        (theta_exponents(m, n_terms) for m in (b, c)), key=len)
-    return Certificate(triple, n_terms, product_first_difference(
-        theta_exponents(a, n_terms), walked, support_bytes(other, n_terms),
-        n_terms))
+    return Certificate(Triple(a, b, c), n_terms,
+                       _first_difference(a, b, c, n_terms))
 
 
 def enumerate_candidates() -> list[Triple]:
@@ -176,7 +198,7 @@ def enumerate_candidates() -> list[Triple]:
 # Cap on the Weber primes each candidate's search examines
 # (weber_reject's bound).
 WEBER_BOUND = 12
-# The family criterion is spot-checked by series for even d up to here.
+# The family criterion is spot-checked at N for even d up to here.
 FAMILY_MAX_D = 200
 
 
@@ -184,8 +206,9 @@ FAMILY_MAX_D = 200
 class ClassificationReport:
     n_terms: int
     certificates: list[Certificate]
-    # whether the series check of every (d/2, d, d) up to FAMILY_MAX_D
-    # agrees with family_criterion; each disagreeing d is a mismatch
+    # whether verify_triple's check of every (d/2, d, d) up to
+    # FAMILY_MAX_D agrees with family_criterion; each disagreeing d is a
+    # mismatch
     family_consistent: bool
     weak_bound_admits: list[Triple]
     mismatches: list[str]
@@ -218,10 +241,10 @@ def run_classification(n_terms: int) -> ClassificationReport:
     PREFILTER_TERMS first pass), attaches Weber certificates from a
     search over WEBER_BOUND primes (among the representations of rank at
     most quadform.WEBER_MAX_RANK), spot-checks the b' = c' family
-    criterion by series for even d up to FAMILY_MAX_D at
-    min(PREFILTER_TERMS, n_terms) terms, and asserts the verified set is
-    exactly the eight sporadic triples.  Deviations are reported as
-    mismatches (a hard failure for callers).
+    criterion for even d up to FAMILY_MAX_D at n_terms terms (a
+    comparison of sorted supports, O(sqrt(n_terms)) per d), and asserts
+    the verified set is exactly the eight sporadic triples.  Deviations
+    are reported as mismatches (a hard failure for callers).
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
@@ -239,10 +262,9 @@ def run_classification(n_terms: int) -> ClassificationReport:
             mismatches.append(
                 f"verified {c.triple.as_tuple()} has a Weber refutation")
 
-    family_terms = min(PREFILTER_TERMS, n_terms)
     family_disagreements = [
         d for d in range(2, FAMILY_MAX_D + 1, 2)
-        if (verify_triple(d // 2, d, d, family_terms).status == VERIFIED)
+        if (verify_triple(d // 2, d, d, n_terms).status == VERIFIED)
         != family_criterion(d)]
     for d in family_disagreements:
         mismatches.append(f"family criterion disagrees with series at d = {d}")

@@ -255,6 +255,6 @@ class Gf2Series:
         return hash((self.n_terms, self._bits))
 
     def __repr__(self):
-        sup = self.support
-        shown = list(sup[:12]) + (["..."] if len(sup) > 12 else [])
+        exps = self._exponents()
+        shown = exps[:12].tolist() + (["..."] if len(exps) > 12 else [])
         return f"Gf2Series(n_terms={self.n_terms}, support={shown})"

@@ -4,7 +4,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from theta_parity import classify, theta
@@ -14,10 +14,11 @@ from theta_parity.classify import (SPORADIC_TRIPLES, Triple,
                                    enumerate_candidates, family_criterion,
                                    run_classification, theorem_prediction,
                                    verify_triple)
-from theta_parity.gf2series import Gf2Series
+from theta_parity.gf2series import (Gf2Series, product_first_difference,
+                                    support_bytes)
 from theta_parity.numth import is_square, vp
 from theta_parity.quadform import repcount
-from theta_parity.theta import theta_series
+from theta_parity.theta import theta_exponents, theta_series
 
 
 def reference_brute_search(bound, n_terms=2000, a_cap=None):
@@ -154,6 +155,69 @@ def test_verify_triple_squares_equal_factors(monkeypatch):
     assert kernels == []
 
 
+# b = c compares f_a's support x with 2*(f_b's below ceil(N/2)), y; the
+# examples put the first difference where the arrays first differ (just
+# past 0, inside, at the last common entry) with either one longer, past
+# the end of the shorter (x or y longer), nowhere, and at N in {1, 2}
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 3000))
+@example(1, 1, 1)
+@example(1, 1, 2)
+@example(3, 3, 3)      # differ at the last common entry, equal lengths
+@example(8, 3, 4)      # ... with x longer
+@example(1, 24, 5)     # ... with y longer
+@example(24, 24, 6)    # differ just past 0, x longer
+@example(1, 24, 12)    # differ just past 0, y longer
+@example(12, 8, 15)    # differ inside, x longer
+@example(3, 1, 2)      # x extends y: x's next entry
+@example(3, 1, 3)
+@example(2, 3, 4)      # y extends x: y's next entry
+@example(1, 3, 3)
+@example(12, 24, 3001)  # family: equal
+def test_equal_factors_match_the_frobenius_square(a, b, n):
+    want = theta_series(a, n).first_difference(theta_series(b, n).square())
+    assert verify_triple(a, b, b, n).witness == want
+
+
+def two_adic_squares():
+    """m with v2(m) in {1, 2}: the factors that descend."""
+    return st.builds(lambda odd, v: (2 * odd + 1) << v,
+                     st.integers(0, 30), st.sampled_from([1, 2]))
+
+
+# the descent decides (a, b, c) at ceil(N/2) as (2a, 2b, 2c); its witness
+# is that of the comparison on the undescended supports, refuted or
+# verified (the two descending sporadic triples and a family triple)
+@settings(max_examples=200, deadline=None)
+@given(two_adic_squares(), two_adic_squares(), two_adic_squares(),
+       st.integers(1, 5000))
+@example(4, 6, 12, 4097)
+@example(10, 12, 60, 4096)
+@example(10, 60, 12, 2 * classify.PREFILTER_TERMS + 1)
+@example(6, 12, 12, 999)
+@example(2, 6, 6, 1)
+def test_descent_matches_the_undescended_comparison(a, b, c, n):
+    walked, other = sorted((theta_exponents(m, n) for m in (b, c)), key=len)
+    want = product_first_difference(theta_exponents(a, n), walked,
+                                    support_bytes(other, n), n)
+    assert verify_triple(a, b, c, n).witness == want
+
+
+def test_equal_factors_memory_is_sublinear():
+    # b = c compares two sorted supports of O(sqrt(N)) entries each, and
+    # packs no N-bit series
+    n = 10 ** 7
+    assert verify_triple(5, 10, 10, n).witness == 3
+    verify_triple(12, 24, 24, n)
+    tracemalloc.start()
+    try:
+        assert verify_triple(12, 24, 24, n).witness is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n // 64, peak
+
+
 def test_enumerate_candidates_contents():
     cands = enumerate_candidates()
     assert Triple(15, 24, 40) in cands
@@ -258,7 +322,9 @@ def test_brute_search_builds_each_theta_row_once(monkeypatch):
         rows.update((m, width) for m in np.asarray(ms).tolist())
         return theta_rows(ms, width)
 
-    monkeypatch.setattr(classify, "theta_series", counting_theta_series)
+    # classify binds no theta_series of its own, so patching the theta
+    # module's catches every call
+    assert not hasattr(classify, "theta_series")
     monkeypatch.setattr(theta, "theta_series", counting_theta_series)
     monkeypatch.setattr(classify, "theta_rows", counting_theta_rows)
     assert brute_search(40, 2000) == theorem_prediction(40)

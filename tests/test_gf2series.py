@@ -58,6 +58,17 @@ def test_from_support_examples():
     assert Gf2Series.from_support([0], 1) == Gf2Series.one(1)
 
 
+def test_repr_shows_the_first_twelve_exponents():
+    # the exponents print as Python ints, from a support or from bits
+    squares = [k * k for k in range(12)]
+    assert repr(Gf2Series.from_support(squares, 145)) == (
+        f"Gf2Series(n_terms=145, support={squares})")
+    assert repr(Gf2Series.from_support(squares + [144], 145)) == (
+        f"Gf2Series(n_terms=145, support={squares + ['...']})")
+    assert repr(Gf2Series(80, 1 << 70 | 1)) == (
+        "Gf2Series(n_terms=80, support=[0, 70])")
+
+
 def test_from_support_takes_an_integer_array():
     # numpy scalars in the public support would overflow in shifts
     g = Gf2Series.from_support([0, 1, 80], 100)
@@ -311,7 +322,7 @@ def test_mul_kernel_follows_n_terms(monkeypatch):
     # brute's full products and the prefilter take the Python-int comb
     assert kernels(lambda: classify.brute_search(24, 2000)) == {
         ("_int_comb", 2000)}
-    assert kernels(lambda: classify.verify_triple(4, 6, 12, PRE)) == {
+    assert kernels(lambda: classify.verify_triple(8, 12, 24, PRE)) == {
         ("_int_comb", PRE)}
     # the switch is at _WORDS_MIN_TERMS terms, for products and for each
     # pass of the first-difference comparison alike
@@ -320,14 +331,18 @@ def test_mul_kernel_follows_n_terms(monkeypatch):
         length = n if name == "_int_comb" else whole_bytes(n)
         assert kernels(lambda: theta_series(1, n).mul(theta_series(2, n))) == {
             (name, length)}
-        assert kernels(lambda: classify.verify_triple(4, 6, 12, n)) == {
+        assert kernels(lambda: classify.verify_triple(8, 12, 24, n)) == {
             ("_int_comb", PRE), (name, length)}
+    # (4, 6, 12) descends to (8, 12, 24): its passes run at ceil(n/2)
+    for n in (2 * _WORDS_MIN_TERMS - 1, 2 * _WORDS_MIN_TERMS + 1):
+        assert kernels(lambda: classify.verify_triple(4, 6, 12, n)) == {
+            ("_int_comb", PRE), ("_xor_comb", whole_bytes((n + 1) // 2))}
     # long theta products take the byte comb; long identity checks and
     # P*f_a against f_b take it after the prefilter's int comb
     n = 10 ** 6
     assert kernels(lambda: theta_series(8, n).mul(theta_series(24, n))) == {
         ("_xor_comb", n)}
-    assert kernels(lambda: classify.verify_triple(4, 6, 12, n)) == {
+    assert kernels(lambda: classify.verify_triple(8, 12, 24, n)) == {
         ("_int_comb", PRE), ("_xor_comb", n)}
     partition_parity(300_001)  # the parity levels' own products
     assert kernels(lambda: bm_first_failure(6, 8, 300_000)) == {

@@ -27,7 +27,9 @@ checkouts alternating which runs first, each in a fresh interpreter with
 that process's maximum resident set size; the snapshot keeps the median
 seconds and RSS and every run's seconds.  The figures are:
 partition_parity(10^7), bm_first_failure(6, 8, 10^7),
-verify_triple(4, 6, 12, 10^7), theta_exponents(552, 10^9),
+verify_triple(8, 12, 24, 10^7) (a triple that does not descend by
+q -> q^2, so its comb runs at the full 10^7 terms),
+theta_exponents(552, 10^9),
 brute_search(1000, 2000), brute_search(2000, 4000), the size of CI's
 brute-force cross-check, and the Weber searches of classify's 47
 candidates at its WEBER_BOUND (the certificates found).
@@ -60,9 +62,9 @@ NORTH_STAR = {
     "bm_first_failure(6, 8, 10^7)":
         "from theta_parity.partition import bm_first_failure\n"
         "result = bm_first_failure(6, 8, 10 ** 7)",
-    "verify_triple(4, 6, 12, 10^7)":
+    "verify_triple(8, 12, 24, 10^7), the comb at full N":
         "from theta_parity.classify import verify_triple\n"
-        "result = verify_triple(4, 6, 12, 10 ** 7).status",
+        "result = verify_triple(8, 12, 24, 10 ** 7).status",
     "theta_exponents(552, 10^9)":
         "from theta_parity.theta import theta_exponents\n"
         "result = len(theta_exponents(552, 10 ** 9))",

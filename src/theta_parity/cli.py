@@ -10,9 +10,10 @@ Diagnostics go to stderr.
 Commands that check a set of claims print one record per claim and
 exit 1 if any fails: `euler-jacobi` without --a checks every exponent,
 and `bm` without --a and --b sweeps the ten Ballantine-Merca pairs,
-each record carrying the theorem's verdict as `expected` (verified for
-the seven conjectured pairs, refuted for the other three).  Together
-with `classify`, these three streams reproduce the paper's results.
+each record carrying the classification's verdict on its triple
+(a, min(b, 24), max(b, 24)) as `expected` (verified for the seven
+conjectured pairs, refuted for the other three).  Together with
+`classify`, these three streams reproduce the paper's results.
 """
 
 from __future__ import annotations

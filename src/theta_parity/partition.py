@@ -22,6 +22,11 @@ The Ballantine-Merca check compares P*f_a with f_b by
 gf2series.product_first_difference, the classification's comparison:
 it walks f_a's support over P's bytes from f_b's bits, so P*f_a is never
 built.
+
+The ten pairs (a, b) with 1/a = 1/b + 1/24, and which of them hold,
+follow from the classification.  Since P*(q;q) = 1 and (q;q) = f_24
+mod 2, P*f_a = f_b exactly when f_a = f_b*f_24, so a pair holds exactly
+when (a, min(b, 24), max(b, 24)) is one of theorem_prediction's triples.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
+from .classify import Triple, theorem_prediction
 from .gf2series import Gf2Series, product_first_difference
+from .numth import divisors, egyptian_a
 from .theta import theta_exponents, theta_series
 
 
@@ -74,8 +81,16 @@ def bm_first_failure(a: int, b: int, n_max: int) -> Optional[int]:
         partition_parity(n_terms).byte_array(), n_terms)
 
 
-# The ten (a, b) pairs with 1/a = 1/b + 1/24: Ballantine-Merca's seven
-# conjectured pairs plus the three refuted by the series check.
-BM_CONJECTURED_PAIRS = ((6, 8), (8, 12), (12, 24), (15, 40), (16, 48),
-                        (20, 120), (21, 168))
-BM_REFUTED_PAIRS = ((18, 72), (22, 264), (23, 552))
+def _bm_pairs() -> tuple[tuple, tuple]:
+    """The ten pairs whose triple the theorem holds, and the rest."""
+    holds = set(theorem_prediction(576))
+    # 1/a = 1/b + 1/24 exactly when b + 24 divides 24^2 = 576
+    pairs = [(egyptian_a(d - 24, 24), d - 24) for d in divisors(576) if d > 24]
+    held = tuple((a, b) for a, b in pairs
+                 if Triple(a, min(b, 24), max(b, 24)) in holds)
+    return held, tuple(p for p in pairs if p not in held)
+
+
+# Ballantine-Merca's seven conjectured pairs and the three refuted ones,
+# ascending in b, as the classification decides them (module docstring).
+BM_CONJECTURED_PAIRS, BM_REFUTED_PAIRS = _bm_pairs()

@@ -35,6 +35,13 @@ _ROOT_CHUNK = 1 << 16
 _ROW_CHUNK = 1 << 14
 
 
+def _chunks(lo: int, hi: int, step: int):
+    """np.arange(lo, hi) as int64 pieces of step entries (the last may
+    be shorter), so a scan holds one piece at a time."""
+    for s in range(lo, hi, step):
+        yield np.arange(s, min(s + step, hi), dtype=np.int64)
+
+
 def theta_rows(ms, width: int) -> np.ndarray:
     """The first width coefficients of f_m for each m in ms, packed.
 
@@ -53,9 +60,8 @@ def theta_rows(ms, width: int) -> np.ndarray:
     out = np.zeros((len(ms), 8 * ((width + 63) >> 6)), dtype=np.uint8)
     step = min(width, _ROW_CHUNK)
     rows = _ROW_CHUNK // step
-    for lo in range(0, width, step):
-        k = np.arange(lo, min(lo + step, width), dtype=np.int64)
-        cols = slice(lo >> 3, (lo + len(k) + 7) >> 3)
+    for k in _chunks(0, width, step):
+        cols = slice(k[0] >> 3, (k[-1] + 8) >> 3)
         for r in range(0, len(ms), rows):
             out[r:r + rows, cols] = np.packbits(
                 _is_square_array(ms[r:r + rows] * k + 1), axis=1,
@@ -83,17 +89,11 @@ def theta_exponents(m: int, n_terms: int) -> np.ndarray:
     lim = isqrt(m * n_terms)  # y^2 <= m*N  <=>  k < N
     top = min(m, lim)
     if n_terms < top:
-        support = []
-        for lo in range(0, n_terms, _ROW_CHUNK):
-            k = np.arange(lo, min(lo + _ROW_CHUNK, n_terms), dtype=np.int64)
-            support.append(k[_is_square_array(m * k + 1)])
-        return np.concatenate(support)
-    roots = []
-    for lo in range(1, top + 1, _ROOT_CHUNK):
-        r = np.arange(lo, min(lo + _ROOT_CHUNK, top + 1), dtype=np.int64)
-        roots.append(r[(r * r - 1) % m == 0])
-    y = (np.arange(0, lim + 1, m, dtype=np.int64)[:, None]
-         + np.concatenate(roots)).ravel()
+        return np.concatenate([k[_is_square_array(m * k + 1)]
+                               for k in _chunks(0, n_terms, _ROW_CHUNK)])
+    roots = np.concatenate([r[(r * r - 1) % m == 0]
+                            for r in _chunks(1, top + 1, _ROOT_CHUNK)])
+    y = (np.arange(0, lim + 1, m, dtype=np.int64)[:, None] + roots).ravel()
     y = y[y <= lim]
     return (y * y - 1) // m
 

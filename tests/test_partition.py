@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from theta_parity import partition
+from theta_parity.classify import verify_triple
 from theta_parity.gf2series import Gf2Series
 from theta_parity.partition import (BM_CONJECTURED_PAIRS, BM_REFUTED_PAIRS,
                                     bm_first_failure, partition_parity)
@@ -133,6 +134,25 @@ def test_bm_witnesses_unchanged(n_max):
         want = parity.mul(theta_series(a, n)).first_difference(theta_series(b, n))
         assert want == (1 if (a, b) in BM_REFUTED_PAIRS else None)
         assert bm_first_failure(a, b, n_max) == want, (a, b)
+
+
+def test_bm_pairs_are_the_classifications_split():
+    # derived from the classification, in the order `bm` prints them
+    assert BM_CONJECTURED_PAIRS == ((6, 8), (8, 12), (12, 24), (15, 40),
+                                    (16, 48), (20, 120), (21, 168))
+    assert BM_REFUTED_PAIRS == ((18, 72), (22, 264), (23, 552))
+    assert {type(x) for p in BM_CONJECTURED_PAIRS + BM_REFUTED_PAIRS
+            for x in p} == {int}
+
+
+@pytest.mark.parametrize("n_max", [4095, 65_535, 300_000])
+def test_bm_is_the_triple_with_f24(n_max):
+    # P*f_a = f_b exactly when f_a = f_b*f_24, with the same first
+    # difference: at the prefilter's length, at the byte comb's 2^16-term
+    # switch and at the parity workload's size
+    for a, b in BM_CONJECTURED_PAIRS + BM_REFUTED_PAIRS:
+        triple = verify_triple(a, min(b, 24), max(b, 24), n_max + 1)
+        assert bm_first_failure(a, b, n_max) == triple.witness, (a, b)
 
 
 def test_bm_validation():

@@ -24,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gf2series import (PREFILTER_TERMS, Gf2Series, product_first_difference,
-                        support_bytes)
+from .gf2series import PREFILTER_TERMS, Gf2Series, support_first_difference
 from .numth import _is_square_array, _ragged_arange, divisors, egyptian_a, vp
 from .quadform import WeberCertificate, weber_reject
 from .theta import _INT64_LIMIT, theta_exponents, theta_rows
@@ -133,38 +132,31 @@ def family_criterion(d: int) -> bool:
 def _first_difference(a: int, b: int, c: int, n: int) -> Optional[int]:
     """Smallest k < n where f_a and f_b*f_c differ mod 2, or None.
 
-    b = c: f_b^2 = f_b(q^2) mod 2, so f_a's sorted support x is compared
-    with y = 2*(f_b's below ceil(n/2)); both start at 0, and the first
-    difference is min(x[i], y[i]) at the first i where they differ, else
-    the longer one's next entry.
+    b = c: f_b^2 = f_b(q^2) mod 2, so f_a's sorted support is compared
+    with 2*(f_b's below ceil(n/2)), with no comb.
     Descent: if v2(m) is 1 or 2, m*k + 1 = s^2 forces s odd, so 8 | m*k,
     k is even and f_m(q) = f_2m(q^2).  So when a, b and c all qualify,
     the first difference is twice that of (2a, 2b, 2c) below ceil(n/2);
     each step raises every v2, so there are at most two.
     """
     if b == c:
-        x, y = theta_exponents(a, n), 2 * theta_exponents(b, (n + 1) // 2)
-        common = min(len(x), len(y))
-        i = int(np.argmax(x[:common] != y[:common]))  # 0 if none differ
-        if x[i] != y[i]:
-            return int(min(x[i], y[i]))
-        return int(max(x, y, key=len)[common]) if len(x) != len(y) else None
+        return support_first_difference(
+            theta_exponents(a, n), [2 * theta_exponents(b, (n + 1) // 2)], n)
     # the halved supports need 2m*ceil(n/2) <= m*(n + 1) below 2^63
     if (all(vp(m, 2) in (1, 2) for m in (a, b, c))
             and max(a, c) * (n + 1) < _INT64_LIMIT):
         k = _first_difference(2 * a, 2 * b, 2 * c, (n + 1) // 2)
         return None if k is None else 2 * k
-    walked, other = sorted((theta_exponents(m, n) for m in (b, c)), key=len)
-    return product_first_difference(theta_exponents(a, n), walked,
-                                    support_bytes(other, n), n)
+    return support_first_difference(
+        theta_exponents(a, n), [theta_exponents(m, n) for m in (b, c)], n)
 
 
 def verify_triple(a: int, b: int, c: int, n_terms: int) -> Certificate:
     """Compare f_a with f_b*f_c below n_terms, by _first_difference.
 
     b = c compares sorted supports in O(sqrt(N)) memory; a triple whose
-    v2's are all 1 or 2 descends to ceil(N/2) terms; any other makes one
-    product_first_difference call, so no product is built.  Raises
+    v2's are all 1 or 2 descends to ceil(N/2) terms; any other walks one
+    factor's support over the other's bytes, so no product is built.  Raises
     ValueError where theta_exponents would (m*N >= 2^63).
     """
     if n_terms < 1:

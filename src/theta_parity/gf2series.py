@@ -21,11 +21,12 @@ mul() chooses between them by N alone:
     term, and its memory is a few N-bit byte arrays.
 
 An identity check only needs the first index where a target differs
-from a product.  product_first_difference, which verify_triple and
-bm_first_failure call, runs the comb from the target's bits instead of
-zeros and reads the first set bit of the sum, so the product is never
-built.  Its first pass covers the low PREFILTER_TERMS coefficients and
-its second all N; each picks its kernel by its own length.
+from a product.  support_first_difference takes sorted supports: one
+factor is compared directly, and two by product_first_difference, which
+runs the comb from the target's bits and reads the first set bit of the
+sum, so the product is never built.  Its first pass covers the low
+PREFILTER_TERMS coefficients and its second all N; each picks its kernel
+by its own length.
 
 The kernels are truncation-first: no coefficient at or beyond n_terms
 is ever reported, and all identity claims are "below N" claims.
@@ -125,6 +126,26 @@ def product_first_difference(target: np.ndarray, walked: np.ndarray,
         if 0 <= k < n:
             return k
     return None
+
+
+def support_first_difference(target: np.ndarray, factors,
+                             n_terms: int) -> Optional[int]:
+    """Smallest k < n_terms where the series with support `target` differs
+    from the product of those with supports `factors` (one or two; all are
+    sorted int64 arrays below n_terms), or None.  One factor: min(x[i],
+    y[i]) at the first i where the supports differ, else the longer one's
+    next entry.  Two: product_first_difference walks the shorter over the
+    longer's bytes."""
+    if len(factors) == 2:
+        walked, other = sorted(factors, key=len)
+        return product_first_difference(target, walked,
+                                        support_bytes(other, n_terms), n_terms)
+    x, (y,) = target, factors
+    common = min(len(x), len(y))
+    i = int(np.argmax(x[:common] != y[:common])) if common else 0
+    if i < common and x[i] != y[i]:
+        return int(min(x[i], y[i]))
+    return int(max(x, y, key=len)[common]) if len(x) != len(y) else None
 
 
 class Gf2Series:

@@ -8,18 +8,19 @@ plus O(|support|), which is what makes N = 10^9 supports cheap.  When
 the N indices are fewer than the roots, each is tested directly;
 theta_rows runs that test for many m at once, into packed rows.  The
 arithmetic is int64, exact for m*N < 2^63; larger inputs raise
-ValueError.
+ValueError.  By Frobenius, (q;q)_inf^a mod 2 is the product of the twists
+eta(q^t) over the powers of two t in a, each a scaled pentagonal support.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import reduce
 from math import isqrt
 from typing import Optional
 
 import numpy as np
 
-from .gf2series import Gf2Series
+from .gf2series import Gf2Series, support_first_difference
 from .numth import _is_square_array
 
 # Exponents a with (q;q)_inf^a congruent to f_{24/a} mod 2.  Other
@@ -118,41 +119,26 @@ def eta_support(n_terms: int) -> np.ndarray:
     return g[:np.searchsorted(g, n_terms)]
 
 
-@lru_cache(maxsize=3)
-def _eta_chain(a: int, n_terms: int) -> Gf2Series:
-    """eta^a mod 2 below n_terms for a in {1, 2, 3}, eta = (q;q)_inf.
-
-    eta^2 is the Frobenius square of eta and eta^3 the one multiply
-    eta^2 * eta; each is built once per truncation, and only when asked
-    for.
-    """
-    if a == 1:
-        return Gf2Series.from_support(eta_support(n_terms), n_terms)
-    if a == 2:
-        return _eta_chain(1, n_terms).square()
-    return _eta_chain(2, n_terms).mul(_eta_chain(1, n_terms))
+def _eta_twists(a: int, n_terms: int) -> list:
+    """The supports t*eta_support(ceil(N/t)) of eta(q^t) below N, for the
+    powers of two t in a; g(q)^2 = g(q^2) mod 2 makes their product eta^a."""
+    if a not in EULER_JACOBI_EXPONENTS:
+        raise ValueError(f"exponent {a} outside {EULER_JACOBI_EXPONENTS}")
+    return [t * eta_support(-(-n_terms // t)) for t in (1, 2, 4) if a & t]
 
 
 def eta_power_series(a: int, n_terms: int) -> Gf2Series:
-    """(q;q)_inf^a mod 2, truncated; a in {1,2,3,4,6}.
-
-    Read from the chain eta, eta^2, eta^3 that _eta_chain builds once
-    per truncation; a=4 and a=6 are the Frobenius squares of a=2 and
-    a=3.  The chain's one multiply, eta^2 * eta, takes the byte comb of
-    Gf2Series.mul from 2^16 terms on.
-    """
-    if a not in EULER_JACOBI_EXPONENTS:
-        raise ValueError(f"exponent {a} outside {EULER_JACOBI_EXPONENTS}")
-    if a in (4, 6):
-        return _eta_chain(a // 2, n_terms).square()
-    return _eta_chain(a, n_terms)
+    """(q;q)_inf^a mod 2, truncated; a in {1,2,3,4,6}: one twist, or the
+    one multiply of two for a in {3, 6}."""
+    return reduce(Gf2Series.mul, (Gf2Series.from_support(s, n_terms)
+                                  for s in _eta_twists(a, n_terms)))
 
 
 def euler_jacobi_check(a: int, n_terms: int) -> Optional[int]:
     """First index where (q;q)_inf^a differs from f_{24/a} below N, or None.
 
-    A witness must never occur for a in {1,2,3,4,6}.
+    Compares supports, so no series is built.  A witness must never
+    occur for a in {1,2,3,4,6}.
     """
-    lhs = eta_power_series(a, n_terms)
-    rhs = theta_series(24 // a, n_terms)
-    return lhs.first_difference(rhs)
+    twists = _eta_twists(a, n_terms)  # first: N < 1 raises eta_support's error
+    return support_first_difference(theta_exponents(24 // a, n_terms), twists, n_terms)

@@ -203,6 +203,8 @@ _REJECTED = {
     ("bm", "--a", "6", "--max", "10"): "--a and --b must be given together",
     ("series", "--m", "4", "--terms", "13", "--out", "/missing-dir/x"):
         "/missing-dir/x",
+    ("euler-jacobi", "--terms", "0"): "euler-jacobi: n_terms must be positive",
+    ("eta", "--terms", "0"): "eta: n_terms must be positive",
 }
 
 

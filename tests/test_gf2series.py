@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from theta_parity import classify, gf2series
 from theta_parity.gf2series import (_WORDS_MIN_TERMS, PREFILTER_TERMS,
                                     Gf2Series, product_first_difference,
-                                    support_bytes)
+                                    support_bytes, support_first_difference)
 from theta_parity.partition import (BM_REFUTED_PAIRS, bm_first_failure,
                                     partition_parity)
 from theta_parity.theta import theta_series
@@ -283,6 +283,40 @@ def test_product_first_difference_matches_product(data):
                                    g.byte_array(), n)
     assert got == f.mul(g).first_difference(t)
     assert got == (flips[0] if flips else None)
+    # the two-factor comparison walks the shorter factor, in either order
+    factors = [np.array(walked, dtype=np.int64), np.array(other, dtype=np.int64)]
+    assert support_first_difference(target, factors, n) == got
+    assert support_first_difference(target, factors[::-1], n) == got
+
+
+@st.composite
+def support_pairs(draw):
+    """(n, x, y): sorted supports below n where y keeps a drawn prefix of
+    x and continues with larger terms, so that one often extends the
+    other or first differs from it at the last common index."""
+    n, x, tail = draw(word_comb_inputs())
+    cut = draw(st.integers(0, len(x)))
+    floor = x[cut - 1] if cut else -1
+    return n, x, x[:cut] + [t for t in tail if t > floor]
+
+
+@settings(max_examples=200, deadline=None)
+@given(support_pairs())
+@example((5, [], []))                    # both empty: nothing to compare
+@example((5, [], [2]))                   # one empty, not starting at 0
+@example((5, [3], []))
+@example((10, [2, 5], [2, 7]))           # neither starts at 0
+@example((10, [1, 4], [1, 4, 8]))        # x a prefix of y
+@example((10, [1, 4, 8], [1, 4]))        # y a prefix of x
+@example((10, [1, 4, 6], [1, 4, 7]))     # at the last common index
+@example((10, [0, 3, 9], [0, 3, 9]))     # equal
+def test_support_comparison_matches_series(data):
+    n, x, y = data
+    want = Gf2Series.from_support(x, n).first_difference(
+        Gf2Series.from_support(y, n))
+    arrays = [np.array(s, dtype=np.int64) for s in (x, y)]
+    assert support_first_difference(arrays[0], arrays[1:], n) == want
+    assert support_first_difference(arrays[1], arrays[:1], n) == want
 
 
 @pytest.mark.parametrize("n", [_WORDS_MIN_TERMS - 1, _WORDS_MIN_TERMS,

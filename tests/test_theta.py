@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from theta_parity import theta
-from theta_parity.gf2series import Gf2Series
+from theta_parity.gf2series import Gf2Series, support_first_difference
 from theta_parity.theta import (EULER_JACOBI_EXPONENTS, eta_power_series,
                                 eta_support, euler_jacobi_check,
                                 theta_exponents, theta_rows, theta_series)
@@ -253,10 +253,10 @@ def test_eta_powers_match_repeated_multiplication():
         assert eta_power_series(a, n) == powers[a]
 
 
-def test_euler_jacobi_checks_share_one_eta_chain(monkeypatch):
-    # eta, eta^2 and eta^3 are built once per truncation: the five
-    # checks at one n multiply once, for eta^3, and only a in {3, 6}
-    # asks for eta^3
+def test_euler_jacobi_checks_compare_supports(monkeypatch):
+    # eta^a is the product of the twists eta(q^t), t the powers of two
+    # in a: the check compares their supports and builds no series, and
+    # eta_power_series multiplies two twists once, for a in {3, 6}
     calls = []
     mul = Gf2Series.mul
 
@@ -264,15 +264,39 @@ def test_euler_jacobi_checks_share_one_eta_chain(monkeypatch):
         calls.append(self.n_terms)
         return mul(self, other)
 
-    monkeypatch.setattr(Gf2Series, "mul", spy)
-    theta._eta_chain.cache_clear()
+    def refuse(*args):
+        raise AssertionError("euler_jacobi_check built a series")
+
     n = 3000
-    for a in (1, 2, 4):
+    with monkeypatch.context() as patch:
+        for name in ("__init__", "from_support", "mul", "square"):
+            patch.setattr(Gf2Series, name, refuse)
+        for a in EULER_JACOBI_EXPONENTS:
+            assert euler_jacobi_check(a, n) is None
+    monkeypatch.setattr(Gf2Series, "mul", spy)
+    for a in EULER_JACOBI_EXPONENTS:
+        calls.clear()
         eta_power_series(a, n)
-    assert calls == []
+        assert calls == ([n] if a in (3, 6) else [])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 65535, 65536, 65537])
+def test_euler_jacobi_check_matches_series_oracle(n):
+    # eta^a by repeated multiplication against f_{24/b}: a = b is
+    # Jacobi's congruence, and a != b compares one exponent's twists
+    # with another's theta series, where a witness must appear
+    eta = Gf2Series.from_support(eta_support(n), n)
+    powers = {1: eta}
+    for a in range(2, 7):
+        powers[a] = powers[a - 1].mul(eta)
     for a in EULER_JACOBI_EXPONENTS:
         assert euler_jacobi_check(a, n) is None
-    assert calls == [n]
+        for b in EULER_JACOBI_EXPONENTS:
+            target = theta_exponents(24 // b, n)
+            got = support_first_difference(target, theta._eta_twists(a, n), n)
+            assert got == powers[a].first_difference(theta_series(24 // b, n))
+            if n > 2:
+                assert (got is None) == (a == b), (a, b)
 
 
 def test_euler_jacobi_check_small():

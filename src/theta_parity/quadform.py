@@ -19,7 +19,7 @@ exponent-level identity is c*y^2 + b*z^2 = b*c*k + b + c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 from typing import Iterator, Optional
 
 import numpy as np
@@ -197,9 +197,10 @@ def find_weber_prime(D: int, s: int, t: int, M: int,
     return WeberPrime(best[0], best[1], best[2], D)
 
 
-# An annulus builds at most about this many points, congruent ones only
-# when L <= _RESIDUE_TABLE_MAX, so the walk's memory is bounded however
-# many lattice points it ranks.
+# The walk halves an annulus until it builds at most about this many
+# points (congruent ones only when L <= _RESIDUE_TABLE_MAX) and ends
+# within the rank limit, so its memory is bounded however many lattice
+# points it ranks.
 _ANNULUS_POINTS = 1 << 18
 # The walk's first annulus ends at this multiple of L.  About one lattice
 # point in L is congruent, so the first annulus holds the dozen primes a
@@ -229,28 +230,6 @@ def _row_bounds(D: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.nd
     u_lo = _isqrt_array(np.maximum(lo - dv2, 0))
     counts = _isqrt_array(hi - dv2) - u_lo
     return v, u_lo, counts.astype(np.int64)
-
-
-def _rank_cut(D: int, lo: int, hi: int, k: int) -> tuple[int, int]:
-    """(p_k, u_k), the k-th smallest (p, u) of the annulus lo < p <= hi,
-    for 1 <= k <= its lattice count.
-
-    Bisects on X for the smallest p_k whose count of points with
-    lo < p <= X reaches k, counting by _row_bounds without building a
-    point.  The points at p_k lie on the rows where p_k - D*v^2 is a
-    perfect square, one per row; u_k is the one that completes k.
-    """
-    x_lo, x_hi, count_lo = lo, hi, 0  # count(x_lo) < k <= count(x_hi)
-    while x_hi - x_lo > 1:
-        mid = x_lo + (x_hi - x_lo) // 2
-        count = int(_row_bounds(D, lo, mid)[2].sum())
-        if count >= k:
-            x_hi = mid
-        else:
-            x_lo, count_lo = mid, count
-    _, u_lo, counts = _row_bounds(D, x_hi - 1, x_hi)
-    tied = np.sort((u_lo + counts)[counts == 1])
-    return x_hi, int(tied[k - 1 - count_lo])
 
 
 def _annulus_runs(D: int, lo: int, hi: int, squares: np.ndarray,
@@ -298,16 +277,19 @@ def _congruent_representations(D: int, L: int,
 
     Walks annuli lo < p <= hi.  `below` counts the representations with
     p <= lo, congruent or not, so a point's rank is `below` plus its
-    place in its annulus.  Each annulus is sized by the points it will
-    build, which _annulus_runs counts before building any: it halves its
-    width while that count exceeds _ANNULUS_POINTS.  Halving, unlike a
-    cut in proportion to the count, also crosses the empty gap below
-    1 + D in few steps when D is large.  The first hi is
-    _FIRST_ANNULUS * L, and each later annulus tries to double hi.  The
-    annulus that crosses `limit` is cut by counting, not by building:
-    _rank_cut finds the (limit - below)-th smallest (p_k, u_k), the
-    annulus ends at p_k, and of the points at p_k only those with
-    u <= u_k are kept.
+    place in its annulus.  _annulus_runs counts an annulus's lattice
+    points and the points it will build before building any, and the
+    annulus halves its width while it would build more than
+    _ANNULUS_POINTS points or while its lattice points would carry the
+    rank past `limit`.  Halving, unlike a cut in proportion to the
+    count, also crosses the empty gap below 1 + D in few steps when D is
+    large.  The first hi is _FIRST_ANNULUS * L, and each later annulus
+    tries to double hi, but not past `top`, the last end found to pass
+    `limit`: the annuli that close in on `limit` are one bisection, and
+    each is yielded as soon as it fits.  If the halving stops at
+    hi = lo + 1 with `limit` still passed, every point is at p = hi; of
+    those, only the ones whose u is among the (limit - below) smallest u
+    of the lattice points at hi are kept.
 
     _row_bounds builds a row for every v <= sqrt(hi/D).  The first hi is
     capped at D * _ANNULUS_POINTS**2 and every later one is at most
@@ -321,27 +303,28 @@ def _congruent_representations(D: int, L: int,
     squares = (np.arange(M, dtype=np.int64) ** 2 % M).astype(np.uint16)
     roots = np.argsort(squares, kind="stable")
     squares = squares[roots]
-    lo, below = 0, 0
+    lo, below, top = 0, 0, inf
     hi = max(64, min(_FIRST_ANNULUS * L, D * _ANNULUS_POINTS ** 2))
     while below < limit:
         size, v, u0, n_u = _annulus_runs(D, lo, hi, squares, roots)
-        while n_u.sum() > _ANNULUS_POINTS and hi - lo > 1:
+        while ((n_u.sum() > _ANNULUS_POINTS or below + size > limit)
+               and hi - lo > 1):
+            if below + size > limit:
+                top = hi
             hi = lo + (hi - lo) // 2
             size, v, u0, n_u = _annulus_runs(D, lo, hi, squares, roots)
-        u_cut = None
-        if below + size > limit:
-            hi, u_cut = _rank_cut(D, lo, hi, limit - below)
-            _, v, u0, n_u = _annulus_runs(D, lo, hi, squares, roots)
         u = _ragged_arange(u0, n_u, M)
         v = np.repeat(v, n_u)
         p = u * u + D * v * v
         keep = (p % L == 1) & (np.gcd(u, D) == 1)
-        if u_cut is not None:
-            keep &= (p < hi) | (u <= u_cut)
+        if below + size > limit:  # hi = lo + 1: every point is at p = hi
+            _, u_lo, counts = _row_bounds(D, lo, hi)
+            tied = np.sort((u_lo + counts)[counts == 1])
+            keep &= u <= tied[limit - below - 1]
         p, u, v = p[keep], u[keep], v[keep]
         order = np.lexsort((u, p))
         yield from zip(p[order].tolist(), u[order].tolist(), v[order].tolist())
-        lo, below, hi = hi, below + size, 2 * hi
+        lo, below, hi = hi, below + size, min(2 * hi, top)
 
 
 def weber_reject(b: int, c: int, bound: int) -> Optional[WeberCertificate]:

@@ -356,6 +356,10 @@ def test_congruent_representations_small_annuli_and_wide_values(monkeypatch):
 @example(D=5, L=240, limit=5000, annulus=16)  # ... and in several in a row
 @example(D=23, L=12144, limit=1, annulus=1 << 18)  # the first annulus is cut
 @example(D=1, L=12, limit=1, annulus=1 << 18)
+# the tie at p = 25, reached by halving for points
+@example(D=1, L=24, limit=14, annulus=1)
+@example(D=1, L=24, limit=15, annulus=1)
+@example(D=23, L=12144, limit=3000, annulus=2)
 def test_congruent_representations_property_matches_heap(D, L, limit, annulus):
     # L on both sides of the residue table's limit 2^16; a small annulus
     # cap puts the rank cut in one of many annuli
@@ -430,18 +434,42 @@ def count_row_bounds(monkeypatch):
 
 def test_classify_weber_searches_walk_one_annulus_each(monkeypatch):
     # sized by the points it builds, each of classify's 47 searches ends in
-    # its first annulus, below WEBER_MAX_RANK: one _row_bounds call each and
-    # no rank cut (sizing annuli by every lattice point they span takes
-    # 331 calls)
+    # its first annulus, below WEBER_MAX_RANK: one _row_bounds call each, so
+    # no annulus is halved toward the rank limit (sizing annuli by every
+    # lattice point they span takes 331 calls)
     calls = count_row_bounds(monkeypatch)
-    cuts = []
-    rank_cut = quadform._rank_cut
-    monkeypatch.setattr(quadform, "_rank_cut",
-                        lambda *args: cuts.append(args) or rank_cut(*args))
     for t in enumerate_candidates():
         weber_reject(t.b, t.c, WEBER_BOUND)
     assert len(calls) == len(enumerate_candidates()) == 47, len(calls)
-    assert cuts == []
+
+
+def test_weber_search_stops_before_its_rank_limit_cheaply(monkeypatch):
+    # at rank 300,000 four of classify's searches have a first annulus that
+    # passes the limit.  Each fitting annulus is yielded before the walk
+    # closes in on the limit, so (665, 840, 3192), which has 15 primes
+    # within the limit and stops at its 12th, halves only until its first
+    # annulus fits instead of bisecting to the limit first (25 calls).
+    monkeypatch.setattr(quadform, "WEBER_MAX_RANK", 300_000)
+    calls = count_row_bounds(monkeypatch)
+    primes = []
+
+    def counted_is_prime(p):
+        if is_prime(p):
+            primes.append(p)
+            return True
+        return False
+
+    monkeypatch.setattr(quadform, "is_prime", counted_is_prime)
+    assert weber_reject(840, 3192, WEBER_BOUND) is None
+    assert len(primes) == WEBER_BOUND
+    assert len(calls) < 25, len(calls)
+    by_D = {}
+    for b, c in ((528, 12144), (840, 3192), (1680, 4080), (1680, 6384)):
+        D = b * c // gcd(b, c) ** 2
+        if D not in by_D:
+            by_D[D] = list(islice(_ascending_representations(D), 300_000))
+        assert (weber_reject(b, c, WEBER_BOUND)
+                == heap_weber_reject(b, c, WEBER_BOUND, 300_000, by_D[D])), (b, c)
 
 
 def test_congruent_representations_rows_do_not_shrink_annuli(monkeypatch):

@@ -27,7 +27,7 @@ import numpy as np
 from .gf2series import PREFILTER_TERMS, Gf2Series, support_first_difference
 from .numth import _is_square_array, _ragged_arange, divisors, egyptian_a, vp
 from .quadform import WeberCertificate, weber_reject
-from .theta import _INT64_LIMIT, theta_exponents, theta_rows
+from .theta import theta_exponents, theta_rows
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -129,42 +129,26 @@ def family_criterion(d: int) -> bool:
     return vp(d, 2) in (2, 3)
 
 
-def _first_difference(a: int, b: int, c: int, n: int) -> Optional[int]:
-    """Smallest k < n where f_a and f_b*f_c differ mod 2, or None.
-
-    b = c: f_b^2 = f_b(q^2) mod 2, so f_a's sorted support is compared
-    with 2*(f_b's below ceil(n/2)), with no comb.
-    Descent: if v2(m) is 1 or 2, m*k + 1 = s^2 forces s odd, so 8 | m*k,
-    k is even and f_m(q) = f_2m(q^2).  So when a, b and c all qualify,
-    the first difference is twice that of (2a, 2b, 2c) below ceil(n/2);
-    each step raises every v2, so there are at most two.
-    """
-    if b == c:
-        return support_first_difference(
-            theta_exponents(a, n), [2 * theta_exponents(b, (n + 1) // 2)], n)
-    # the halved supports need 2m*ceil(n/2) <= m*(n + 1) below 2^63
-    if (all(vp(m, 2) in (1, 2) for m in (a, b, c))
-            and max(a, c) * (n + 1) < _INT64_LIMIT):
-        k = _first_difference(2 * a, 2 * b, 2 * c, (n + 1) // 2)
-        return None if k is None else 2 * k
-    return support_first_difference(
-        theta_exponents(a, n), [theta_exponents(m, n) for m in (b, c)], n)
-
-
 def verify_triple(a: int, b: int, c: int, n_terms: int) -> Certificate:
-    """Compare f_a with f_b*f_c below n_terms, by _first_difference.
+    """Compare f_a with f_b*f_c below n_terms by support_first_difference.
 
-    b = c compares sorted supports in O(sqrt(N)) memory; a triple whose
-    v2's are all 1 or 2 descends to ceil(N/2) terms; any other walks one
-    factor's support over the other's bytes, so no product is built.  Raises
-    ValueError where theta_exponents would (m*N >= 2^63).
+    b = c: f_b^2 = f_b(q^2) mod 2, so f_a's sorted support is compared with
+    2*(f_b's below ceil(N/2)), in O(sqrt(N)) memory and with no comb.  Any
+    other pair is passed as two supports, so no product is built, and
+    all-even ones (v2 of a, b and c in {1, 2}, where m*k + 1 = s^2 forces
+    8 | m*k) are decided below ceil(N/2).  Raises ValueError where
+    theta_exponents would (m*N >= 2^63).
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
     if b > c:
         b, c = c, b
-    return Certificate(Triple(a, b, c), n_terms,
-                       _first_difference(a, b, c, n_terms))
+    if b == c:
+        factors = [2 * theta_exponents(b, (n_terms + 1) // 2)]
+    else:
+        factors = [theta_exponents(m, n_terms) for m in (b, c)]
+    return Certificate(Triple(a, b, c), n_terms, support_first_difference(
+        theta_exponents(a, n_terms), factors, n_terms))
 
 
 def enumerate_candidates() -> list[Triple]:
@@ -428,7 +412,7 @@ def brute_search(bound: int, n_terms: int) -> list[Triple]:
             for f in series_list), dtype="<u8").reshape(-1, n_words)
 
     table = table[:, :n_words].copy()
-    row = np.full(max(a_cap, bound) + 1, -1)
+    row = np.full(max(a_cap, bound) + 1, -1, dtype=np.int32)  # a's row in table, or -1
     row[1:bound + 1] = np.arange(bound)
     cands = _CandidateRuns(n, a_cap)
 

@@ -26,7 +26,10 @@ factor is compared directly, and two by product_first_difference, which
 runs the comb from the target's bits and reads the first set bit of the
 sum, so the product is never built.  Its first pass covers the low
 PREFILTER_TERMS coefficients and its second all N; each picks its kernel
-by its own length.
+by its own length.  Two factors whose supports and target's are all even
+are first halved, as often as that holds, since g(q^2)h(q^2) = (gh)(q^2):
+the comb then runs below ceil(N/2), as for f_4 = f_6 f_12 and (q;q)^6 = f_4
+mod 2.
 
 The kernels are truncation-first: no coefficient at or beyond n_terms
 is ever reported, and all identity claims are "below N" claims.
@@ -134,9 +137,15 @@ def support_first_difference(target: np.ndarray, factors,
     from the product of those with supports `factors` (one or two; all are
     sorted int64 arrays below n_terms), or None.  One factor: min(x[i],
     y[i]) at the first i where the supports differ, else the longer one's
-    next entry.  Two: product_first_difference walks the shorter over the
-    longer's bytes."""
+    next entry.  Two: while every entry of the three is even, g(q^2)h(q^2)
+    = (gh)(q^2) halves them all and doubles the answer found below
+    ceil(N/2); then product_first_difference walks the shorter factor over
+    the longer's bytes."""
     if len(factors) == 2:
+        if n_terms > 1 and not any(np.any(s & 1) for s in (target, *factors)):
+            k = support_first_difference(target >> 1, [s >> 1 for s in factors],
+                                         (n_terms + 1) // 2)
+            return None if k is None else 2 * k
         walked, other = sorted(factors, key=len)
         return product_first_difference(target, walked,
                                         support_bytes(other, n_terms), n_terms)

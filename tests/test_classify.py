@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from theta_parity import classify, theta
+from theta_parity import classify, gf2series, theta
 from theta_parity.classify import (SPORADIC_TRIPLES, Triple,
                                    VERIFIED, REFUTED, brute_search,
                                    candidate_filter, egyptian_a,
@@ -201,6 +201,26 @@ def test_descent_matches_the_undescended_comparison(a, b, c, n):
     want = product_first_difference(theta_exponents(a, n), walked,
                                     support_bytes(other, n), n)
     assert verify_triple(a, b, c, n).witness == want
+
+
+def test_descent_needs_no_int64_limit_on_twice_m(monkeypatch):
+    # the comparison halves the supports it is given and builds none at
+    # 2m, so (2, 6, c) descends although c*(N + 1) reaches 2^63; f_c is
+    # just [0] here and f_2, f_6 are multiples of 4, so it halves twice
+    # and combs at 2^18 terms, as (8, 24, 4c)
+    c = 4 * (2 ** 41 + 1)
+    n = (2 ** 63 - 1) // c
+    assert n == 1_048_575 and c * (n + 1) >= 2 ** 63
+    sizes = []
+    comb = gf2series.product_first_difference
+
+    def spy(target, walked, dense, n_terms):
+        sizes.append(n_terms)
+        return comb(target, walked, dense, n_terms)
+
+    monkeypatch.setattr(gf2series, "product_first_difference", spy)
+    assert verify_triple(2, 6, c, n).witness == 8
+    assert sizes == [262_144]
 
 
 def test_equal_factors_memory_is_sublinear():
@@ -424,14 +444,15 @@ def test_brute_search_memory_stays_small(bound, limit_mb):
 def test_brute_search_memory_small_box_long_series():
     # a small box at a long truncation: the candidate a's run to 4N, so a
     # per-block transient of that length (a bincount over the candidates)
-    # peaked at 15.1 MB; the 4N + 1 slot index alone is 6.4 MB of the 10.9
+    # peaked at 15.1 MB; the 4N + 1 int32 slot index alone is 3.2 MB of
+    # the 7.6
     tracemalloc.start()
     try:
         brute_search(24, 200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 10 ** 6, peak
+    assert peak < 9 * 10 ** 6, peak
 
 
 def test_brute_search_validation():

@@ -13,7 +13,7 @@ from theta_parity.gf2series import (_WORDS_MIN_TERMS, PREFILTER_TERMS,
                                     support_bytes, support_first_difference)
 from theta_parity.partition import (BM_REFUTED_PAIRS, bm_first_failure,
                                     partition_parity)
-from theta_parity.theta import theta_series
+from theta_parity.theta import euler_jacobi_check, theta_series
 
 PRE = PREFILTER_TERMS
 
@@ -290,6 +290,45 @@ def test_product_first_difference_matches_product(data):
 
 
 @st.composite
+def even_comparison_inputs(draw):
+    """(n, target, walked, other): random supports scaled by 2 or 4 and
+    kept below n, so the two-factor comparison halves them once or twice;
+    sometimes one array gains an odd entry, where the halving must stop.
+    n is short, or near twice PREFILTER_TERMS, so that the halved
+    comparison runs both passes."""
+    n = draw(st.one_of(
+        st.integers(1, 300), st.sampled_from([1, 2]),
+        st.integers(2 * PREFILTER_TERMS - 16, 2 * PREFILTER_TERMS + 16)))
+    scale = draw(st.sampled_from([2, 4]))
+    index = st.integers(0, (n - 1) // scale)
+    arrays = [sorted(scale * k for k in draw(st.sets(index, max_size=24)))
+              for _ in range(3)]
+    if n > 1 and draw(st.booleans()):
+        odd = 2 * draw(st.integers(0, (n - 2) // 2)) + 1
+        arrays[draw(st.integers(0, 2))].append(odd)
+    return (n, *map(sorted, arrays))
+
+
+@settings(max_examples=200, deadline=None)
+@given(even_comparison_inputs())
+@example((1, [0], [0], [0]))                 # nothing left to halve at n = 1
+@example((2, [0], [0], [0]))
+@example((2, [], [0], [0]))                  # differs at 0 after halving
+@example((2, [0], [0], [1]))                 # odd at n - 1: no halving
+@example((9, [0, 4, 8], [0, 4], [0, 4, 8]))  # halved twice, odd n
+@example((8, [0, 2, 4, 6], [0, 2], [0, 4]))  # witness 6 doubled back
+@example((2 * PRE + 1, [0, 2, 2 * PRE], [0, 2], [0, 2 * PRE]))
+@example((2 * PRE + 2, [0, 2], [0, 2], [0, 2 * PRE]))  # in the second pass
+def test_even_comparison_matches_product(data):
+    n, target, walked, other = data
+    want = Gf2Series.from_support(walked, n).mul(
+        Gf2Series.from_support(other, n)).first_difference(
+        Gf2Series.from_support(target, n))
+    arrays = [np.array(s, dtype=np.int64) for s in (target, walked, other)]
+    assert support_first_difference(arrays[0], arrays[1:], n) == want
+
+
+@st.composite
 def support_pairs(draw):
     """(n, x, y): sorted supports below n where y keeps a drawn prefix of
     x and continues with larger terms, so that one often extends the
@@ -367,10 +406,16 @@ def test_mul_kernel_follows_n_terms(monkeypatch):
             (name, length)}
         assert kernels(lambda: classify.verify_triple(8, 12, 24, n)) == {
             ("_int_comb", PRE), (name, length)}
-    # (4, 6, 12) descends to (8, 12, 24): its passes run at ceil(n/2)
+    # all-even supports are halved before the comb: (4, 6, 12), decided
+    # as (8, 12, 24), and Jacobi's (q;q)^6 = f_4, as eta(q)eta(q^2) = f_8,
+    # run their passes at ceil(n/2)
     for n in (2 * _WORDS_MIN_TERMS - 1, 2 * _WORDS_MIN_TERMS + 1):
-        assert kernels(lambda: classify.verify_triple(4, 6, 12, n)) == {
-            ("_int_comb", PRE), ("_xor_comb", whole_bytes((n + 1) // 2))}
+        half = {("_int_comb", PRE), ("_xor_comb", whole_bytes((n + 1) // 2))}
+        even = [np.array(s, dtype=np.int64)
+                for s in ([0, 2, n - 1], [0, 2], [0, n - 1])]
+        assert kernels(lambda: support_first_difference(even[0], even[1:], n)) == half
+        assert kernels(lambda: classify.verify_triple(4, 6, 12, n)) == half
+        assert kernels(lambda: euler_jacobi_check(6, n)) == half
     # long theta products take the byte comb; long identity checks and
     # P*f_a against f_b take it after the prefilter's int comb
     n = 10 ** 6

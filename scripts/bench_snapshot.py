@@ -31,8 +31,9 @@ verify_triple(8, 12, 24, 10^7) (a triple that does not descend by
 q -> q^2, so its comb runs at the full 10^7 terms),
 theta_exponents(552, 10^9),
 brute_search(1000, 2000), brute_search(2000, 4000), the size of CI's
-brute-force cross-check, and the Weber searches of classify's 47
-candidates at its WEBER_BOUND (the certificates found).
+brute-force cross-check, the Weber searches of classify's 47
+candidates at its WEBER_BOUND (the certificates found), and the whole
+run_classification(10^7) (the verified count and whether it passed).
 So is the Tier-1 test suite, run as TIER1 with the checkout's src on
 PYTHONPATH: its wall time, exit code and pytest's summary line.
 """
@@ -79,6 +80,10 @@ NORTH_STAR = {
         "from theta_parity.quadform import weber_reject\n"
         "result = sum(weber_reject(t.b, t.c, WEBER_BOUND) is not None\n"
         "             for t in enumerate_candidates())",
+    "run_classification(10^7)":
+        "from theta_parity.classify import run_classification\n"
+        "report = run_classification(10 ** 7)\n"
+        "result = [len(report.verified), report.ok]",
 }
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]

@@ -10,6 +10,12 @@ a witness, optionally strengthened by a Weber-prime certificate.  The
 b' = c' side reduces to b = c = d with the criterion v2(d) in {2, 3},
 spot-checked at N by comparing f_{d/2}'s support with twice f_d's.
 
+verify_triples runs each comparison once: a triple whose a, b and c all
+have v2 in {1, 2} is the q -> q^2 image of its double, so its witness is
+read off the double's.  So (4,6,12) and (10,12,60) are decided by
+(8,12,24) and (20,24,120), and the 13 family triples (d/2, d, d) with
+v2(d) = 2 and 2d <= FAMILY_MAX_D by (d, 2d, 2d).
+
 Verified status is always truncation-relative: "verified to N terms",
 never "proven".
 """
@@ -81,6 +87,9 @@ class Certificate:
     n_terms: int
     witness: Optional[int] = None
     weber: Optional[WeberCertificate] = None
+    # the triple whose comparison decided this one, when not itself
+    # (see verify_triples)
+    decided_by: Optional[Triple] = None
 
     @property
     def status(self) -> str:
@@ -151,6 +160,43 @@ def verify_triple(a: int, b: int, c: int, n_terms: int) -> Certificate:
         theta_exponents(a, n_terms), factors, n_terms))
 
 
+def _doubled(t: Triple) -> tuple[Triple, int]:
+    """(2^k*t, k) for the largest k with v2 of a, b and c all in {1, 2}
+    at every step.  There f_m(q) = f_2m(q^2) (m*j + 1 = s^2 forces
+    8 | m*j, so j is even), so f_a - f_b*f_c is the k-fold q -> q^2 image
+    of 2^k*t's difference."""
+    k = 0
+    while all(vp(m, 2) in (1, 2) for m in t.as_tuple()):
+        t, k = Triple(2 * t.a, 2 * t.b, 2 * t.c), k + 1
+    return t, k
+
+
+def verify_triples(triples, n_terms: int) -> list[Certificate]:
+    """verify_triple's certificate for each triple, with one comparison
+    per group of triples that double to the same one (_doubled).
+
+    The member doubled least is compared at n_terms; one doubled delta
+    times more differs first at w*2^delta if that is below n_terms (w
+    the compared member's witness), else nowhere below n_terms, and its
+    certificate names the compared member as decided_by.
+    """
+    groups = {}
+    for t in triples:
+        image, k = _doubled(t)
+        groups.setdefault(image, []).append((k, t))
+    decided = {}
+    for members in groups.values():
+        k0, head = min(members)
+        cert = verify_triple(head.a, head.b, head.c, n_terms)
+        for k, t in members:
+            w = None if cert.witness is None else cert.witness << (k - k0)
+            if w is not None and w >= n_terms:
+                w = None
+            decided[t] = Certificate(t, n_terms, w,
+                                     decided_by=head if t != head else None)
+    return [decided[t] for t in triples]
+
+
 def enumerate_candidates() -> list[Triple]:
     """All b' != c' triples passing candidate_filter; finite by construction.
 
@@ -202,14 +248,6 @@ class ClassificationReport:
         return not self.mismatches
 
 
-def _decide_candidate(triple: Triple, n_terms: int) -> Certificate:
-    cert = verify_triple(triple.a, triple.b, triple.c, n_terms)
-    # the comparison's first pass decided every witness below PREFILTER_TERMS
-    if cert.witness is not None and cert.witness < PREFILTER_TERMS:
-        cert = replace(cert, n_terms=min(PREFILTER_TERMS, n_terms))
-    return replace(cert, weber=weber_reject(triple.b, triple.c, WEBER_BOUND))
-
-
 def run_classification(n_terms: int) -> ClassificationReport:
     """Reproduce the finite computation behind the classification theorem.
 
@@ -219,12 +257,26 @@ def run_classification(n_terms: int) -> ClassificationReport:
     most quadform.WEBER_MAX_RANK), spot-checks the b' = c' family
     criterion for even d up to FAMILY_MAX_D at n_terms terms (a
     comparison of sorted supports, O(sqrt(n_terms)) per d), and asserts
-    the verified set is exactly the eight sporadic triples.  Deviations
-    are reported as mismatches (a hard failure for callers).
+    the verified set is exactly the eight sporadic triples.  The 47
+    candidates and 100 family triples go through verify_triples, which
+    makes 132 comparisons: the 15 q -> q^2 images among them are read
+    off their doubles'.  Deviations are reported as mismatches (a hard
+    failure for callers).
     """
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    certs = [_decide_candidate(t, n_terms) for t in enumerate_candidates()]
+    candidates = enumerate_candidates()
+    evens = range(2, FAMILY_MAX_D + 1, 2)
+    decided = verify_triples(
+        candidates + [Triple(d // 2, d, d) for d in evens], n_terms)
+    certs = []
+    for c in decided[:len(candidates)]:
+        # the comparison's first pass decided every witness below
+        # PREFILTER_TERMS
+        if c.witness is not None and c.witness < PREFILTER_TERMS:
+            c = replace(c, n_terms=min(PREFILTER_TERMS, n_terms))
+        certs.append(replace(c, weber=weber_reject(c.triple.b, c.triple.c,
+                                                   WEBER_BOUND)))
 
     mismatches = []
     verified = {c.triple for c in certs if c.status == VERIFIED}
@@ -239,9 +291,8 @@ def run_classification(n_terms: int) -> ClassificationReport:
                 f"verified {c.triple.as_tuple()} has a Weber refutation")
 
     family_disagreements = [
-        d for d in range(2, FAMILY_MAX_D + 1, 2)
-        if (verify_triple(d // 2, d, d, n_terms).status == VERIFIED)
-        != family_criterion(d)]
+        d for d, c in zip(evens, decided[len(candidates):])
+        if (c.status == VERIFIED) != family_criterion(d)]
     for d in family_disagreements:
         mismatches.append(f"family criterion disagrees with series at d = {d}")
 

@@ -62,6 +62,8 @@ def _certificate_dict(cert: classify.Certificate) -> dict:
         out["witness"] = cert.witness
     if cert.weber is not None:
         out["weber"] = _weber_dict(cert.weber)
+    if cert.decided_by is not None:
+        out["decided_by"] = list(cert.decided_by.as_tuple())
     return out
 
 

@@ -26,10 +26,11 @@ factor is compared directly, and two by product_first_difference, which
 runs the comb from the target's bits and reads the first set bit of the
 sum, so the product is never built.  Its first pass covers the low
 PREFILTER_TERMS coefficients and its second all N; each picks its kernel
-by its own length.  Two factors whose supports and target's are all even
-are first halved, as often as that holds, since g(q^2)h(q^2) = (gh)(q^2):
-the comb then runs below ceil(N/2), as for f_4 = f_6 f_12 and (q;q)^6 = f_4
-mod 2.
+by its own length and packs the longer factor's support to that length,
+so a comparison decided by the first pass packs no N-bit series.  Two
+factors whose supports and target's are all even are first halved, as
+often as that holds, since g(q^2)h(q^2) = (gh)(q^2): the comb then runs
+below ceil(N/2), as for f_4 = f_6 f_12 and (q;q)^6 = f_4 mod 2.
 
 The kernels are truncation-first: no coefficient at or beyond n_terms
 is ever reported, and all identity claims are "below N" claims.
@@ -106,23 +107,27 @@ def product_first_difference(target: np.ndarray, walked: np.ndarray,
                              dense: np.ndarray, n_terms: int) -> Optional[int]:
     """Smallest k < n_terms where the series with support `target`
     differs from the product of the series with support `walked` and the
-    bytes `dense`, or None if they agree below n_terms.
+    series `dense`, or None if they agree below n_terms.
 
-    target and walked are sorted int64 supports; dense is little-endian,
-    at least (n_terms + 7) // 8 bytes.  The first pass compares the low
-    PREFILTER_TERMS coefficients and the second all n_terms, so a witness
-    below min(PREFILTER_TERMS, n_terms) is exactly one the first found.
+    target and walked are sorted int64 supports.  dense is either
+    little-endian bytes (uint8), at least (n_terms + 7) // 8 of them, or
+    a sorted int64 support, which each pass packs below its own length.
+    The first pass compares the low PREFILTER_TERMS coefficients and the
+    second all n_terms, so a witness below min(PREFILTER_TERMS, n_terms)
+    is exactly one the first found, and a support is packed to all
+    n_terms only when that pass finds none.
     """
     for n in sorted({min(PREFILTER_TERMS, n_terms), n_terms}):
         out = support_bytes(target[:np.searchsorted(target, n)], n)
         exps = walked[:np.searchsorted(walked, n)]
+        g = (dense[:len(out)] if dense.dtype == np.uint8 else
+             support_bytes(dense[:np.searchsorted(dense, n)], n))
         if n < _WORDS_MIN_TERMS:
             diff = _int_comb(int.from_bytes(out, "little"),
-                             int.from_bytes(dense[:len(out)], "little"),
-                             exps.tolist(), n)
+                             int.from_bytes(g, "little"), exps.tolist(), n)
             k = (diff & -diff).bit_length() - 1  # -1 when diff is 0
         else:
-            _xor_comb(out, dense[:len(out)], exps)
+            _xor_comb(out, g, exps)
             i = int(np.argmax(out != 0))  # 0 when every byte is zero
             low = int(out[i])
             k = 8 * i + (low & -low).bit_length() - 1
@@ -140,15 +145,14 @@ def support_first_difference(target: np.ndarray, factors,
     next entry.  Two: while every entry of the three is even, g(q^2)h(q^2)
     = (gh)(q^2) halves them all and doubles the answer found below
     ceil(N/2); then product_first_difference walks the shorter factor over
-    the longer's bytes."""
+    the longer's support, packed per pass."""
     if len(factors) == 2:
         if n_terms > 1 and not any(np.any(s & 1) for s in (target, *factors)):
             k = support_first_difference(target >> 1, [s >> 1 for s in factors],
                                          (n_terms + 1) // 2)
             return None if k is None else 2 * k
         walked, other = sorted(factors, key=len)
-        return product_first_difference(target, walked,
-                                        support_bytes(other, n_terms), n_terms)
+        return product_first_difference(target, walked, other, n_terms)
     x, (y,) = target, factors
     common = min(len(x), len(y))
     i = int(np.argmax(x[:common] != y[:common])) if common else 0

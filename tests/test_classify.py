@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from math import isqrt
 
 import numpy as np
@@ -139,6 +140,71 @@ def test_candidate_certificates_name_the_deciding_truncation(n):
     assert {c.n_terms for c in report.refuted} == {
         min(classify.PREFILTER_TERMS, n)}
     assert {c.n_terms for c in report.verified} == {n}
+
+
+FAMILY_TRIPLES = [Triple(d // 2, d, d)
+                  for d in range(2, classify.FAMILY_MAX_D + 1, 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4095, 4096, 4097, 8191, 8192, 8193,
+                               2 ** 17 - 1, 2 ** 17, 2 ** 17 + 1, 10 ** 6])
+def test_grouped_decisions_match_verify_triple(n):
+    # one comparison per group of q -> q^2 images gives every member
+    # verify_triple's own certificate; only the images name a decider
+    triples = enumerate_candidates() + FAMILY_TRIPLES
+    got = classify.verify_triples(triples, n)
+    assert [c.triple for c in got] == triples
+    for t, cert in zip(triples, got):
+        assert replace(cert, decided_by=None) == verify_triple(*t.as_tuple(), n)
+    decided_by = {c.triple: c.decided_by for c in got if c.decided_by}
+    assert decided_by == {
+        Triple(4, 6, 12): Triple(8, 12, 24),
+        Triple(10, 12, 60): Triple(20, 24, 120),
+        **{Triple(d // 2, d, d): Triple(d, 2 * d, 2 * d)
+           for d in range(4, classify.FAMILY_MAX_D // 2 + 1, 8)}}
+
+
+def test_run_classification_compares_each_group_once(monkeypatch):
+    # 45 candidates and 87 family triples: (4, 6, 12), (10, 12, 60) and
+    # the 13 (d/2, d, d) with v2(d) = 2 and 2d <= FAMILY_MAX_D are read
+    # off their preimages' comparisons
+    calls = Counter()
+    verify = classify.verify_triple
+
+    def spy(a, b, c, n_terms):
+        calls[a, b, c] += 1
+        return verify(a, b, c, n_terms)
+
+    monkeypatch.setattr(classify, "verify_triple", spy)
+    report = classify.run_classification(10 ** 6)
+    assert report.ok, report.mismatches
+    assert sum(calls.values()) == 132 and set(calls.values()) == {1}
+    assert (4, 6, 12) not in calls and (10, 12, 60) not in calls
+    assert {c.triple: c.decided_by for c in report.verified if c.decided_by} \
+        == {Triple(4, 6, 12): Triple(8, 12, 24),
+            Triple(10, 12, 60): Triple(20, 24, 120)}
+
+
+def test_refuted_candidates_memory_is_sublinear():
+    # each refuted candidate's witness lies below PREFILTER_TERMS, and the
+    # comparison packs the longer factor's support only to the length of
+    # the pass it runs, so no N-bit series is built for them; the peak,
+    # about N/32 here, is theta_exponents' root scan for the largest m
+    n = 10 ** 7
+    refuted = [t for t in enumerate_candidates()
+               if CANDIDATE_WITNESSES[t.as_tuple()] is not None]
+    assert len(refuted) == 39
+    verify_triple(*refuted[0].as_tuple(), n)
+    tracemalloc.start()
+    try:
+        got = {t.as_tuple(): verify_triple(*t.as_tuple(), n).witness
+               for t in refuted}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == {t.as_tuple(): CANDIDATE_WITNESSES[t.as_tuple()]
+                   for t in refuted}
+    assert peak < n // 16, peak
 
 
 def test_verify_triple_squares_equal_factors(monkeypatch):

@@ -159,6 +159,10 @@ def test_classify_small(capsys):
     candidates = [r for r in records if r.get("kind") == "candidate"]
     triples = [tuple(r["triple"]) for r in candidates]
     assert triples == sorted(triples)
+    # the two q -> q^2 images are decided by their preimages' comparisons
+    assert {tuple(r["triple"]): r["decided_by"] for r in candidates
+            if "decided_by" in r} == {(4, 6, 12): [8, 12, 24],
+                                      (10, 12, 60): [20, 24, 120]}
     family = [r for r in records if r.get("kind") == "family"]
     assert family[0]["consistent"] is True
     assert family[0]["checked_d_up_to"] == classify.FAMILY_MAX_D

@@ -9,8 +9,9 @@ array; the public .support is a tuple of Python ints built from it.
 
 Multiplication has two kernels, both a shift-xor comb over the support
 of the sparser operand: each of its terms s adds the denser operand
-shifted by s.  So both cost one pass over about N/8 bytes per term, and
-mul() chooses between them by N alone:
+shifted by s, and both cut their output to N.  So both cost one pass
+over about N/8 bytes per term, and mul() chooses between them by N
+alone:
 
   * below _WORDS_MIN_TERMS, a Python-int comb: acc ^= dense_bits << s.
     Its per-term overhead is the lowest, which suits short products:
@@ -26,14 +27,17 @@ factor is compared directly, and two by product_first_difference, which
 runs the comb from the target's bits and reads the first set bit of the
 sum, so the product is never built.  Its first pass covers the low
 PREFILTER_TERMS coefficients and its second all N; each picks its kernel
-by its own length and packs the longer factor's support to that length,
-so a comparison decided by the first pass packs no N-bit series.  Two
-factors whose supports and target's are all even are first halved, as
-often as that holds, since g(q^2)h(q^2) = (gh)(q^2): the comb then runs
-below ceil(N/2), as for f_4 = f_6 f_12 and (q;q)^6 = f_4 mod 2.
+by its own length.  The factor it does not walk comes either as bytes
+(the partition parity's) or as a sorted support that each pass packs to
+its own length, so a comparison decided by the first pass packs no
+N-bit series.  Two factors whose supports and target's are all even are
+first halved, as often as that holds, since g(q^2)h(q^2) = (gh)(q^2):
+the comb then runs below ceil(N/2), as for f_4 = f_6 f_12 and
+(q;q)^6 = f_4 mod 2.
 
 The kernels are truncation-first: no coefficient at or beyond n_terms
-is ever reported, and all identity claims are "below N" claims.
+is ever set in their output, so no caller masks it, and all identity
+claims are "below N" claims.
 """
 
 from __future__ import annotations
@@ -71,14 +75,15 @@ def support_bytes(exps: np.ndarray, n_terms: int) -> np.ndarray:
     return out
 
 
-def _xor_comb(out: np.ndarray, dense: np.ndarray, exps: np.ndarray) -> None:
-    """Xor into the bytes `out` the product of the bytes `dense` with the
-    series whose support is the int64 array `exps`, cut to len(out) bytes.
+def _xor_comb(out: np.ndarray, dense: np.ndarray, exps: np.ndarray,
+              n_terms: int) -> None:
+    """Xor into the (n_terms + 7) // 8 bytes `out` the product of the
+    bytes `dense` with the series whose support is the int64 array
+    `exps`, cut to n_terms bits.
 
     dense shifted by each residue r = s mod 8 that occurs is built once,
     in one reused buffer, and xored in place into out[s >> 3:] for each s
-    of that residue.  Bits past the truncation in the last byte are left
-    to the caller.
+    of that residue.
     """
     n_bytes = len(out)
     shifted = np.empty_like(dense)
@@ -93,6 +98,8 @@ def _xor_comb(out: np.ndarray, dense: np.ndarray, exps: np.ndarray) -> None:
         for w in (exps[residues == r] >> 3).tolist():
             tail = out[w:]
             np.bitwise_xor(tail, g_r[:n_bytes - w], out=tail)
+    if n_terms & 7:  # clear the bits at and above n_terms
+        out[-1] &= (1 << (n_terms & 7)) - 1
 
 
 def _int_comb(acc: int, dense: int, exps, n_terms: int) -> int:
@@ -127,11 +134,11 @@ def product_first_difference(target: np.ndarray, walked: np.ndarray,
                              int.from_bytes(g, "little"), exps.tolist(), n)
             k = (diff & -diff).bit_length() - 1  # -1 when diff is 0
         else:
-            _xor_comb(out, g, exps)
+            _xor_comb(out, g, exps, n)
             i = int(np.argmax(out != 0))  # 0 when every byte is zero
             low = int(out[i])
             k = 8 * i + (low & -low).bit_length() - 1
-        if 0 <= k < n:
+        if k >= 0:
             return k
     return None
 
@@ -234,29 +241,16 @@ class Gf2Series:
     def mul(self, other: "Gf2Series") -> "Gf2Series":
         """Truncated product: coefficient k is the pair-sum parity below N."""
         self._check_same_length(other)
-        if self.n_terms < _WORDS_MIN_TERMS:
-            return self._mul_comb(other)
-        return self._mul_words(other)
-
-    def _sparser_first(self, other: "Gf2Series") -> tuple:
+        n = self.n_terms
         # the combs walk the sparser operand's support, so a dense
         # operand's support is never built
-        if self._bits.bit_count() <= other._bits.bit_count():
-            return self, other
-        return other, self
-
-    def _mul_comb(self, other: "Gf2Series") -> "Gf2Series":
-        n = self.n_terms
-        f, g = self._sparser_first(other)
-        return Gf2Series(n, _int_comb(0, g._bits, f._exponents().tolist(), n))
-
-    def _mul_words(self, other: "Gf2Series") -> "Gf2Series":
-        n = self.n_terms
-        f, g = self._sparser_first(other)
+        f, g = self, other
+        if f._bits.bit_count() > g._bits.bit_count():
+            f, g = g, f
+        if n < _WORDS_MIN_TERMS:
+            return Gf2Series(n, _int_comb(0, g._bits, f._exponents().tolist(), n))
         out = np.zeros((n + 7) >> 3, dtype=np.uint8)
-        _xor_comb(out, g.byte_array(), f._exponents())
-        if n & 7:  # clear the bits at and above n
-            out[-1] &= (1 << (n & 7)) - 1
+        _xor_comb(out, g.byte_array(), f._exponents(), n)
         return Gf2Series(n, int.from_bytes(out, "little"))
 
     def square(self) -> "Gf2Series":

@@ -185,6 +185,43 @@ def test_run_classification_compares_each_group_once(monkeypatch):
             Triple(10, 12, 60): Triple(20, 24, 120)}
 
 
+@pytest.mark.parametrize("witnesses, weber_on, mismatches, consistent", [
+    # a refuted candidate reported verified
+    ({(5, 6, 30): None}, None, ["unexpected verified triple (5, 6, 30)"],
+     True),
+    # a sporadic triple refuted
+    ({(15, 24, 40): 1}, None, ["sporadic triple (15, 24, 40) not verified"],
+     True),
+    # a family verdict against family_criterion(2), which is False
+    ({(1, 2, 2): None}, None,
+     ["family criterion disagrees with series at d = 2"], False),
+    # a Weber certificate on a verified triple
+    ({}, (24, 40), ["verified (15, 24, 40) has a Weber refutation"], True),
+])
+def test_run_classification_reports_each_mismatch(
+        monkeypatch, witnesses, weber_on, mismatches, consistent):
+    # the self-check's failure path: verify_triple's witness for one
+    # triple, or weber_reject's answer for one (b, c), is replaced, and
+    # exactly that mismatch is reported
+    verify, reject = classify.verify_triple, classify.weber_reject
+    refutation = reject(24, 72, classify.WEBER_BOUND)
+    assert refutation is not None
+
+    def fake_verify(a, b, c, n_terms):
+        cert = verify(a, b, c, n_terms)
+        return replace(cert, witness=witnesses.get((a, b, c), cert.witness))
+
+    def fake_reject(b, c, bound):
+        return refutation if (b, c) == weber_on else reject(b, c, bound)
+
+    monkeypatch.setattr(classify, "verify_triple", fake_verify)
+    monkeypatch.setattr(classify, "weber_reject", fake_reject)
+    report = classify.run_classification(classify.PREFILTER_TERMS)
+    assert not report.ok
+    assert report.mismatches == mismatches
+    assert report.family_consistent is consistent
+
+
 def test_refuted_candidates_memory_is_sublinear():
     # each refuted candidate's witness lies below PREFILTER_TERMS, and the
     # comparison packs the longer factor's support only to the length of
@@ -214,9 +251,9 @@ def test_verify_triple_squares_equal_factors(monkeypatch):
     want = {d: theta_series(d // 2, n).first_difference(
         theta_series(d, n).mul(theta_series(d, n))) for d in range(2, 201, 2)}
     kernels = []
-    for name in ("_mul_comb", "_mul_words"):
-        monkeypatch.setattr(Gf2Series, name,
-                            lambda self, other, name=name: kernels.append(name))
+    for name in ("_int_comb", "_xor_comb"):
+        monkeypatch.setattr(gf2series, name,
+                            lambda *args, name=name: kernels.append(name))
     assert {d: verify_triple(d // 2, d, d, n).witness for d in want} == want
     assert kernels == []
 

@@ -168,6 +168,17 @@ def test_classify_small(capsys):
     assert family[0]["checked_d_up_to"] == classify.FAMILY_MAX_D
 
 
+def test_classify_too_short_fails(capsys):
+    # at 3 terms decoys agree with their products too, so the self-check
+    # reports mismatches and the command exits 1
+    code, records = run_cli(capsys, "classify", "--terms", "3")
+    assert code == 1
+    summary = records[-1]
+    assert summary["kind"] == "summary" and summary["status"] == "failed"
+    assert "unexpected verified triple (5, 6, 30)" in summary["mismatches"]
+    assert records[-2]["kind"] == "family" and records[-2]["consistent"] is False
+
+
 def test_brute_small(capsys):
     code, records = run_cli(capsys, "brute", "--bound", "8", "--terms", "500")
     assert code == 0

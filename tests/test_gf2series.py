@@ -160,9 +160,14 @@ def test_kernels_match_naive_convolution_at_dense_inputs(data):
     g = Gf2Series.from_support(sb, n)
     want = Gf2Series.from_support(naive_mul(sa, sb, n), n)
     want_square = Gf2Series.from_support(naive_mul(sa, sa, n), n)
-    # both kernels directly, whichever one mul() would pick
-    for got, expected in ((f._mul_words(g), want),
-                          (f._mul_comb(g), want), (f.mul(g), want),
+    # both kernels, whichever one mul() would pick: the switch at 0 forces
+    # the byte comb, and past n the int comb
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2series, "_WORDS_MIN_TERMS", 0)
+        words = f.mul(g)
+        mp.setattr(gf2series, "_WORDS_MIN_TERMS", n + 1)
+        comb = f.mul(g)
+    for got, expected in ((words, want), (comb, want), (f.mul(g), want),
                           (f.square(), want_square)):
         assert got == expected
         assert got.support == expected.support
@@ -190,8 +195,11 @@ def test_dense_operand_support_never_built(data):
     dense = Gf2Series(n, sum(1 << k for k in sa))
     assert dense.square() == Gf2Series.from_support(naive_mul(sa, sa, n), n)
     assert dense._exps is None
-    for kernel in (dense.mul, dense._mul_comb, dense._mul_words):
-        assert kernel(sparse) == want
+    # mul's own pick, then the byte comb and the int comb forced
+    with pytest.MonkeyPatch.context() as mp:
+        for switch in (_WORDS_MIN_TERMS, 0, n + 1):
+            mp.setattr(gf2series, "_WORDS_MIN_TERMS", switch)
+            assert dense.mul(sparse) == want
     if len(sa) > len(sb):  # the combs walk the sparser operand's support
         assert dense._exps is None
 
@@ -225,9 +233,11 @@ def test_word_comb_matches_naive_convolution(data):
     n, sa, sb = data
     f = Gf2Series.from_support(sa, n)
     g = Gf2Series.from_support(sb, n)
-    got = f._mul_words(g)
-    assert got == Gf2Series.from_support(naive_mul(sa, sb, n), n)
-    assert got == g._mul_words(f)
+    with pytest.MonkeyPatch.context() as mp:  # the byte comb at every n
+        mp.setattr(gf2series, "_WORDS_MIN_TERMS", 0)
+        got = f.mul(g)
+        assert got == Gf2Series.from_support(naive_mul(sa, sb, n), n)
+        assert got == g.mul(f)
 
 
 @pytest.mark.parametrize("rem", range(8))
@@ -237,8 +247,14 @@ def test_word_comb_at_every_length_mod_8(rem, data):
     # the comb clears the bits at and above n inside its last byte
     n, sa, sb = data.draw(word_comb_inputs(
         st.integers(1, 40).map(lambda whole: 8 * whole + rem)))
-    got = Gf2Series.from_support(sa, n)._mul_words(Gf2Series.from_support(sb, n))
+    f, g = (Gf2Series.from_support(s, n) for s in (sa, sb))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2series, "_WORDS_MIN_TERMS", 0)
+        got = f.mul(g)
     assert got == Gf2Series.from_support(naive_mul(sa, sb, n), n)
+    out = np.zeros((n + 7) // 8, dtype=np.uint8)
+    gf2series._xor_comb(out, g.byte_array(), np.array(sa, dtype=np.int64), n)
+    assert int(out[-1]) >> ((n - 1) % 8 + 1) == 0
 
 
 @st.composite
@@ -360,10 +376,13 @@ def test_support_comparison_matches_series(data):
 
 @pytest.mark.parametrize("n", [_WORDS_MIN_TERMS - 1, _WORDS_MIN_TERMS,
                                _WORDS_MIN_TERMS + 1, 10 ** 6])
-def test_word_comb_matches_int_comb_on_long_products(n):
+def test_word_comb_matches_int_comb_on_long_products(n, monkeypatch):
     for f, g in ((theta_series(8, n), theta_series(24, n)),
                  (partition_parity(n), theta_series(6, n))):
-        assert f._mul_words(g) == f._mul_comb(g)
+        monkeypatch.setattr(gf2series, "_WORDS_MIN_TERMS", 0)
+        words = f.mul(g)
+        monkeypatch.setattr(gf2series, "_WORDS_MIN_TERMS", n + 1)
+        assert words == f.mul(g)
 
 
 def test_mul_kernel_follows_n_terms(monkeypatch):
@@ -377,9 +396,9 @@ def test_mul_kernel_follows_n_terms(monkeypatch):
         calls.append(("_int_comb", n_terms))
         return int_comb(acc, dense, exps, n_terms)
 
-    def xor_spy(out, dense, exps):
+    def xor_spy(out, dense, exps, n_terms):
         calls.append(("_xor_comb", 8 * len(out)))
-        return xor_comb(out, dense, exps)
+        return xor_comb(out, dense, exps, n_terms)
 
     monkeypatch.setattr(gf2series, "_int_comb", int_spy)
     monkeypatch.setattr(gf2series, "_xor_comb", xor_spy)
@@ -434,7 +453,7 @@ def test_refuted_bm_pairs_never_reach_the_long_comb(monkeypatch):
     partition_parity(n_max + 1)  # the parity levels' own products
     calls = []
     monkeypatch.setattr(gf2series, "_xor_comb",
-                        lambda out, dense, exps: calls.append(len(out)))
+                        lambda out, dense, exps, n_terms: calls.append(len(out)))
     for a, b in BM_REFUTED_PAIRS:
         assert bm_first_failure(a, b, n_max) == 1
     assert calls == []
